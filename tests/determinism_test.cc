@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "common/thread_pool.h"
 #include "model/prediction_cache.h"
@@ -781,6 +783,189 @@ TEST(DeterminismTest, TrainingIsReproducible) {
     EXPECT_DOUBLE_EQ((*p1)[i], (*p2)[i]);
   }
 }
+
+// Golden replay pins. Every other test here compares two runs of the same
+// build; these pin the replay's outcomes across commits. Each case hashes
+// (FNV-1a over the "%.17g" rendering) every deterministic StageOutcome
+// field, instance detail included, of one sequential replay. The
+// wall-clock fields (solve_seconds, stage_latency_in, wasted_solve_seconds)
+// are left out: they time the solver, not the replay. A refactor of the
+// simulator that changes no behaviour keeps every hash; a deliberate
+// behaviour change re-pins them and says why.
+class OutcomeHasher {
+ public:
+  void Add(double v) {
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g,", v);
+    for (int i = 0; i < n; ++i) {
+      hash_ ^= static_cast<unsigned char>(buf[i]);
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(const StageOutcome& o) {
+    for (double v :
+         {double(o.job_idx), double(o.stage_idx), double(o.feasible),
+          double(o.num_instances), o.stage_latency, o.stage_cost,
+          o.default_theta_cores, double(o.retries), double(o.failovers),
+          double(o.speculative_copies), double(o.speculative_wins),
+          double(o.failed_instances), o.wasted_cost, double(o.fallback),
+          double(o.model_short_circuited), double(o.breaker_tripped),
+          double(o.breaker_recovered), double(o.drift_demoted),
+          double(o.drift_alarm_raised), double(o.replans),
+          double(o.stale_decision_drops), double(o.migrations),
+          double(o.migration_wins), double(o.fine_tunes),
+          double(o.promotions), double(o.rollbacks), double(o.gate_rejects),
+          double(o.shadow_rejects), double(o.lifecycle_retrains),
+          double(o.wasted_decisions), o.pred_abs_error, o.pred_actual_sum}) {
+      Add(v);
+    }
+    Add(static_cast<double>(o.instance_latencies.size()));
+    for (double v : o.instance_latencies) Add(v);
+    Add(static_cast<double>(o.instance_thetas.size()));
+    for (const ResourceConfig& theta : o.instance_thetas) {
+      Add(theta.cores);
+      Add(theta.memory_gb);
+    }
+  }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct GoldenReplayCase {
+  const char* name;
+  // Configures the replay; `span` is the last job arrival, `gpr` a fitted
+  // noise model.
+  void (*configure)(SimOptions* options, double span,
+                    const GprNoiseModel* gpr);
+  uint64_t hash;
+};
+
+void ConfigureFaults(SimOptions* o) {
+  o->faults.enabled = true;
+  o->faults.machine_failure_rate_per_day = 24.0;
+  o->faults.machine_recovery_seconds = 900.0;
+  o->faults.instance_failure_prob = 0.08;
+  o->faults.straggler_prob = 0.05;
+  o->faults.model_outage_rate_per_day = 4.0;
+  o->faults.model_breaker.enabled = true;
+  o->faults.seed = 23;
+}
+
+const GoldenReplayCase kGoldenReplays[] = {
+    {"Default", [](SimOptions*, double, const GprNoiseModel*) {},
+     0xe4628431c9ca18ecULL},
+    {"FaultsWithSpeculation",
+     [](SimOptions* o, double, const GprNoiseModel*) {
+       ConfigureFaults(o);
+       // Shadow observations of the speculated (final) runs.
+       o->drift_watchdog.enabled = true;
+     },
+     0x6bef31bfcf3cb79dULL},
+    {"FaultsWithoutSpeculation",
+     [](SimOptions* o, double, const GprNoiseModel*) {
+       ConfigureFaults(o);
+       o->faults.speculative_execution = false;
+     },
+     0x97a2aeb847c8a6ecULL},
+    {"FaultsReconfigDriftWatchdog",
+     [](SimOptions* o, double span, const GprNoiseModel*) {
+       ConfigureFaults(o);
+       o->drift_multiplier = 4.0;
+       o->drift_start_seconds = 0.2 * span;
+       o->drift_end_seconds = 0.7 * span;
+       o->drift_watchdog.enabled = true;
+       o->drift_watchdog.window_size = 16;
+       o->drift_watchdog.min_samples = 4;
+       // Frequent short outages inside a long dispatch hazard window: stale
+       // decisions re-solve against projected liveness and launch onto
+       // machines still down at dispatch.
+       o->faults.machine_failure_rate_per_day = 96.0;
+       o->faults.machine_recovery_seconds = 300.0;
+       o->reconfig.enabled = true;
+       o->reconfig.dispatch_hazard_seconds = 600.0;
+       o->reconfig.fine_tune_min_samples = 8;
+       o->reconfig.fine_tune_cooldown_observations = 8;
+     },
+     0x4d1118706f9341bdULL},
+    {"LifecycleDriftPulse",
+     [](SimOptions* o, double span, const GprNoiseModel*) {
+       o->drift_multiplier = 3.0;
+       o->drift_start_seconds = 0.2 * span;
+       o->drift_end_seconds = 0.8 * span;
+       o->drift_watchdog.enabled = true;
+       o->drift_watchdog.window_size = 16;
+       o->drift_watchdog.min_samples = 4;
+       o->lifecycle.enabled = true;
+       o->lifecycle.retrain_period_seconds = 40.0;
+       o->lifecycle.retrain_min_samples = 16;
+       o->lifecycle.shadow_observations = 16;
+       o->lifecycle.probation_observations = 32;
+     },
+     0xafae2809d2e86592ULL},
+    {"GprNoise",
+     [](SimOptions* o, double, const GprNoiseModel* gpr) {
+       o->outcome = OutcomeMode::kGprNoise;
+       o->gpr = gpr;
+     },
+     0xf58d755b68cc163eULL},
+};
+
+void PrintTo(const GoldenReplayCase& c, std::ostream* os) { *os << c.name; }
+
+class GoldenReplayTest : public ::testing::TestWithParam<GoldenReplayCase> {
+ protected:
+  static void SetUpTestSuite() {
+    ExperimentEnv::Options options;
+    options.workload = WorkloadId::kA;
+    options.scale = 0.03;
+    options.train.epochs = 1;
+    options.train.max_train_samples = 800;
+    Result<std::unique_ptr<ExperimentEnv>> env = ExperimentEnv::Build(options);
+    ASSERT_TRUE(env.ok()) << env.status().ToString();
+    env_ = std::move(env).value().release();
+    Result<std::vector<double>> preds = env_->TestPredictions();
+    Result<std::vector<double>> actual = env_->TestActuals();
+    ASSERT_TRUE(preds.ok() && actual.ok());
+    gpr_ = new GprNoiseModel();
+    ASSERT_TRUE(gpr_->Fit(preds.value(), actual.value()).ok());
+  }
+  static ExperimentEnv* env_;
+  static GprNoiseModel* gpr_;
+};
+
+ExperimentEnv* GoldenReplayTest::env_ = nullptr;
+GprNoiseModel* GoldenReplayTest::gpr_ = nullptr;
+
+TEST_P(GoldenReplayTest, OutcomesMatchPinnedHash) {
+  ASSERT_NE(env_, nullptr);
+  double span = 0.0;
+  for (const Job& job : env_->workload().jobs) {
+    span = std::max(span, job.arrival_time);
+  }
+  SimOptions options;
+  options.outcome = OutcomeMode::kEnvironment;
+  options.seed = 13;
+  GetParam().configure(&options, span, gpr_);
+  Simulator sim(&env_->workload(), &env_->model(), options);
+  StageOptimizer optimizer(StageOptimizer::IpaRaaPathWithFallback());
+  Result<SimResult> result =
+      sim.Run([&](const SchedulingContext& c) { return optimizer.Optimize(c); },
+              /*keep_instance_detail=*/true);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  OutcomeHasher hasher;
+  for (const StageOutcome& o : result->outcomes) hasher.Add(o);
+  EXPECT_EQ(hasher.hash(), GetParam().hash)
+      << GetParam().name << " replay hash is 0x" << std::hex
+      << hasher.hash();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, GoldenReplayTest, ::testing::ValuesIn(kGoldenReplays),
+    [](const ::testing::TestParamInfo<GoldenReplayCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace fgro
