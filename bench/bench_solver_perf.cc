@@ -565,11 +565,10 @@ int RunFrontierSweep(bool quick, std::string* json_section) {
           : 0.0;
   std::printf(
       "  frontier cache: %llu hits, %llu misses (%.0f%% hit rate), "
-      "%llu builds, %llu donor patches\n",
+      "%llu builds\n",
       static_cast<unsigned long long>(cache.hits()),
       static_cast<unsigned long long>(cache.misses()), frontier_hit_rate * 100,
-      static_cast<unsigned long long>(cache.inserts()),
-      static_cast<unsigned long long>(cache.donor_hits()));
+      static_cast<unsigned long long>(cache.inserts()));
 
   // Determinism: a compressed replay through the RO service must not depend
   // on the worker count, with the frontier cache shared across jobs and
@@ -626,13 +625,12 @@ int RunFrontierSweep(bool quick, std::string* json_section) {
   char tail[256];
   std::snprintf(tail, sizeof(tail),
                 "],\"frontier_cache\":{\"hits\":%llu,\"misses\":%llu,"
-                "\"hit_rate\":%.4f,\"builds\":%llu,\"donor_patches\":%llu},"
+                "\"hit_rate\":%.4f,\"builds\":%llu},"
                 "\"threads_identical\":%s}",
                 static_cast<unsigned long long>(cache.hits()),
                 static_cast<unsigned long long>(cache.misses()),
                 frontier_hit_rate,
                 static_cast<unsigned long long>(cache.inserts()),
-                static_cast<unsigned long long>(cache.donor_hits()),
                 identical ? "true" : "false");
   json += tail;
   *json_section = json;

@@ -54,20 +54,13 @@ uint64_t FrontierKey::Hash() const {
   return h;
 }
 
-FrontierKey FrontierKey::DonorKey() const {
-  FrontierKey k = *this;
-  k.grid_hash = 0;
-  return k;
-}
-
 uint64_t FrontierGridHash(const std::vector<ResourceConfig>& grid) {
   uint64_t h = Mix(static_cast<uint64_t>(grid.size()));
   for (const ResourceConfig& theta : grid) {
     h = Mix(h ^ DoubleBits(theta.cores));
     h = Mix(h ^ DoubleBits(theta.memory_gb));
   }
-  // Never collide with DonorKey()'s grid_hash == 0 sentinel.
-  return h == 0 ? 1 : h;
+  return h;
 }
 
 FrontierCache::FrontierCache(size_t capacity)
@@ -90,55 +83,18 @@ bool FrontierCache::Lookup(const FrontierKey& key,
   return false;
 }
 
-bool FrontierCache::LookupDonor(const FrontierKey& key,
-                                std::shared_ptr<const FrontierEntry>* entry) {
-  const FrontierKey donor_key = key.DonorKey();
-  FrontierKey full_key;
-  {
-    Shard& shard = ShardOf(donor_key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.donors.find(donor_key);
-    if (it == shard.donors.end()) return false;
-    full_key = it->second;
-  }
-  // The donor index can point at an evicted entry (it lives in another
-  // shard, never touched during that shard's eviction): validate by fetch.
-  Shard& shard = ShardOf(full_key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(full_key);
-  if (it == shard.map.end()) return false;
-  *entry = it->second;
-  donor_hits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 void FrontierCache::Insert(const FrontierKey& key,
                            std::shared_ptr<const FrontierEntry> entry) {
   const size_t shard_capacity = capacity_ / kShards;
-  {
-    Shard& shard = ShardOf(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto [it, inserted] = shard.map.emplace(key, std::move(entry));
-    if (!inserted) return;
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-    shard.order.push_back(key);
-    while (shard.order.size() > shard_capacity) {
-      shard.map.erase(shard.order.front());
-      shard.order.pop_front();
-    }
-  }
-  const FrontierKey donor_key = key.DonorKey();
-  Shard& shard = ShardOf(donor_key);
+  Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [it, inserted] = shard.donors.emplace(donor_key, key);
-  if (!inserted) {
-    it->second = key;  // latest insertion wins; values are key-pure anyway
-    return;
-  }
-  shard.donor_order.push_back(donor_key);
-  while (shard.donor_order.size() > shard_capacity) {
-    shard.donors.erase(shard.donor_order.front());
-    shard.donor_order.pop_front();
+  auto [it, inserted] = shard.map.emplace(key, std::move(entry));
+  if (!inserted) return;
+  inserts_.fetch_add(1, std::memory_order_relaxed);
+  shard.order.push_back(key);
+  while (shard.order.size() > shard_capacity) {
+    shard.map.erase(shard.order.front());
+    shard.order.pop_front();
   }
 }
 
@@ -161,18 +117,6 @@ void FrontierCache::EnsureModelTag(uint64_t tag) {
       if (k.model_tag == tag) kept.push_back(k);
     }
     shard.order = std::move(kept);
-    for (auto it = shard.donors.begin(); it != shard.donors.end();) {
-      if (it->first.model_tag != tag) {
-        it = shard.donors.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    std::deque<FrontierKey> donor_kept;
-    for (const FrontierKey& k : shard.donor_order) {
-      if (k.model_tag == tag) donor_kept.push_back(k);
-    }
-    shard.donor_order = std::move(donor_kept);
   }
   last_tag_.store(tag, std::memory_order_release);
 }
@@ -182,8 +126,6 @@ void FrontierCache::Clear() {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.map.clear();
     shard.order.clear();
-    shard.donors.clear();
-    shard.donor_order.clear();
   }
 }
 

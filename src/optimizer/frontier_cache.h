@@ -62,12 +62,6 @@ struct FrontierKey {
   }
 
   uint64_t Hash() const;
-
-  /// The grid-agnostic part of the key: all fields with grid_hash zeroed.
-  /// Two keys with equal DonorKey() describe the same (cluster, machine
-  /// bucket, theta0, model) under different theta grids, so one's latencies
-  /// can patch the other's overlapping grid points exactly.
-  FrontierKey DonorKey() const;
 };
 
 struct FrontierKeyHash {
@@ -96,10 +90,7 @@ struct FrontierEntry {
 /// solve path (DESIGN.md §16). Modeled on PredictionMemo: sharded 16 ways
 /// by key hash, FIFO eviction per shard, idempotent insert (two workers
 /// racing on the same template both computed the same pure function of the
-/// key, so either value is correct). A secondary per-shard donor index maps
-/// DonorKey() -> the latest full key inserted under it, which is what lets
-/// a theta-grid change patch the overlapping frontier region instead of
-/// recomputing every point.
+/// key, so either value is correct).
 class FrontierCache {
  public:
   explicit FrontierCache(size_t capacity = 1 << 12);
@@ -113,17 +104,7 @@ class FrontierCache {
   bool Lookup(const FrontierKey& key, const std::vector<ResourceConfig>& grid,
               std::shared_ptr<const FrontierEntry>* entry);
 
-  /// Finds an entry with the same DonorKey() as `key` but a different grid
-  /// (any grid). True and fills *entry when one exists. Donor choice may
-  /// depend on insertion order across threads, but every latency a donor
-  /// supplies is the exact value a fresh prediction would compute, so
-  /// patched builds are bit-identical to from-scratch builds regardless of
-  /// which donor served.
-  bool LookupDonor(const FrontierKey& key,
-                   std::shared_ptr<const FrontierEntry>* entry);
-
-  /// Inserts (idempotent: re-inserting an existing key is a no-op) and
-  /// points the donor index at `key`.
+  /// Inserts (idempotent: re-inserting an existing key is a no-op).
   void Insert(const FrontierKey& key,
               std::shared_ptr<const FrontierEntry> entry);
 
@@ -139,9 +120,6 @@ class FrontierCache {
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  uint64_t donor_hits() const {
-    return donor_hits_.load(std::memory_order_relaxed);
-  }
   uint64_t inserts() const { return inserts_.load(std::memory_order_relaxed); }
   uint64_t invalidations() const {
     return invalidations_.load(std::memory_order_relaxed);
@@ -157,12 +135,6 @@ class FrontierCache {
                        FrontierKeyHash>
         map;
     std::deque<FrontierKey> order;  // FIFO eviction
-    /// DonorKey() -> latest full key inserted under it. Entries may go
-    /// stale when the pointed-to entry is evicted (it lives in another
-    /// shard); LookupDonor validates by fetching and treats a dangling
-    /// pointer as a miss.
-    std::unordered_map<FrontierKey, FrontierKey, FrontierKeyHash> donors;
-    std::deque<FrontierKey> donor_order;
   };
 
   Shard& ShardOf(const FrontierKey& key) {
@@ -175,7 +147,6 @@ class FrontierCache {
   std::atomic<uint64_t> last_tag_{0};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> donor_hits_{0};
   std::atomic<uint64_t> inserts_{0};
   std::atomic<uint64_t> invalidations_{0};
 };

@@ -24,31 +24,10 @@ bool BuildBplMatrix(const SchedulingContext& context,
   L->assign(static_cast<size_t>(m),
             std::vector<double>(static_cast<size_t>(n)));
 
-  if (!context.batched_inference) {
-    // Scalar baseline path, preserved verbatim: one deadline check per
-    // matrix row (the m x n inference bill is the expensive part, and
-    // aborting here leaves the ladder budget to spare).
-    for (int i = 0; i < m; ++i) {
-      if (context.deadline.expired()) return false;
-      Result<LatencyModel::EmbeddedInstance> embedded =
-          model.Embed(stage, instance_rows[static_cast<size_t>(i)]);
-      if (!embedded.ok()) return false;
-      for (int j = 0; j < n; ++j) {
-        const Machine& machine =
-            cluster.machine(machine_cols[static_cast<size_t>(j)]);
-        (*L)[static_cast<size_t>(i)][static_cast<size_t>(j)] =
-            model.PredictFromEmbedding(embedded.value(), context.theta0,
-                                       machine.state(),
-                                       machine.hardware().id);
-      }
-    }
-    return true;
-  }
-
-  // Batched path. Embed every row first — the per-instance GNN/TLSTM pass
-  // dominates and rows are independent, so it fans across the worker pool;
-  // each slot is written by exactly one body and read only after the fan
-  // completes, which keeps the result byte-identical at any thread count.
+  // Embed every row first — the per-instance GNN/TLSTM pass dominates and
+  // rows are independent, so it fans across the worker pool; each slot is
+  // written by exactly one body and read only after the fan completes,
+  // which keeps the result byte-identical at any thread count.
   std::vector<LatencyModel::EmbeddedInstance> embedded(
       static_cast<size_t>(m));
   std::atomic<bool> failed{false};
@@ -205,7 +184,7 @@ StageDecision IpaSchedule(const SchedulingContext& context) {
   }
 
   // Latency matrix: one plan embedding per instance, then a predictor sweep
-  // over the candidate machines (batched into one PredictBatch by default).
+  // over the candidate machines (batched into one PredictBatch).
   std::vector<int> instance_rows(static_cast<size_t>(m));
   std::iota(instance_rows.begin(), instance_rows.end(), 0);
   std::vector<std::vector<double>> L;

@@ -23,14 +23,12 @@ std::vector<int> IpaGreedyMatch(const std::vector<std::vector<double>>& L,
 
 /// Shared by IPA and its clustered variant: fills (*L)[i][j] with the
 /// predicted latency of stage instance instance_rows[i] on machine
-/// machine_cols[j] (a cluster machine id) under theta0. In batched mode
-/// (context.batched_inference) each row is embedded once — fanning across
-/// context.worker_pool when set — and the whole matrix becomes one
-/// PredictBatch call (chunked internally, memoized via context.memo);
-/// otherwise this runs the original scalar PredictFromEmbedding loops.
-/// Both modes produce bit-identical matrices. Returns false when the
-/// deadline expired or an embedding failed, in which case *L is
-/// unspecified.
+/// machine_cols[j] (a cluster machine id) under theta0. Each row is
+/// embedded once — fanning across context.worker_pool when set — and the
+/// whole matrix becomes one PredictBatch call (chunked internally, memoized
+/// via context.memo), bit-identical to per-cell PredictFromEmbedding calls.
+/// Returns false when the deadline expired or an embedding failed, in
+/// which case *L is unspecified.
 bool BuildBplMatrix(const SchedulingContext& context,
                     const std::vector<int>& instance_rows,
                     const std::vector<int>& machine_cols,

@@ -25,6 +25,12 @@ namespace fgro {
 
 namespace {
 
+/// Frontier-compression correction width (DESIGN.md §16): a group whose
+/// representative differs from its cluster's canonical representative
+/// re-ranks this many evenly spread template-frontier points (plus theta0)
+/// with its own true embedding instead of sweeping the whole grid.
+constexpr int kCorrectionTopK = 4;
+
 uint64_t DoubleBits(double v) {
   uint64_t b = 0;
   std::memcpy(&b, &v, sizeof(b));
@@ -313,7 +319,6 @@ RaaResult RunRaa(const SchedulingContext& context,
   obs::Counter* c_misses = nullptr;
   obs::Counter* c_builds = nullptr;
   obs::Counter* c_corrections = nullptr;
-  obs::Counter* c_patches = nullptr;
   obs::Counter* c_dedup = nullptr;
   if (context.obs.metrics != nullptr) {
     c_dedup = context.obs.metrics->GetCounter("so.raa.dedup_groups");
@@ -323,7 +328,6 @@ RaaResult RunRaa(const SchedulingContext& context,
       c_builds = context.obs.metrics->GetCounter("so.frontier.builds");
       c_corrections =
           context.obs.metrics->GetCounter("so.frontier.corrections");
-      c_patches = context.obs.metrics->GetCounter("so.frontier.patches");
     }
   }
 
@@ -348,40 +352,25 @@ RaaResult RunRaa(const SchedulingContext& context,
 
   // Predicts `thetas` (plus theta0 appended when `theta0_index` < 0) for
   // one embedded instance on the group's machine; returns thetas.size()
-  // (+1) latencies. Batched and scalar paths are bit-identical.
+  // (+1) latencies from one PredictBatch sweep.
   auto predict_thetas = [&](const LatencyModel::EmbeddedInstance& embedded,
                             const Machine& machine,
                             const std::vector<ResourceConfig>& thetas,
                             int theta0_index, std::vector<double>* lats) {
     const size_t total = thetas.size() + (theta0_index < 0 ? 1 : 0);
-    if (context.batched_inference) {
-      std::vector<LatencyModel::PredictionCandidate> candidates;
-      candidates.reserve(total);
-      for (const ResourceConfig& theta : thetas) {
-        candidates.push_back(
-            {theta, machine.state(), machine.hardware().id});
-      }
-      if (theta0_index < 0) {
-        candidates.push_back(
-            {context.theta0, machine.state(), machine.hardware().id});
-      }
-      lats->assign(total, 0.0);
-      LatencyModel::BatchScratch scratch;
-      context.model->PredictBatch(embedded, candidates, lats->data(),
-                                  &scratch, context.memo);
-    } else {
-      lats->clear();
-      lats->reserve(total);
-      for (const ResourceConfig& theta : thetas) {
-        lats->push_back(context.model->PredictFromEmbedding(
-            embedded, theta, machine.state(), machine.hardware().id));
-      }
-      if (theta0_index < 0) {
-        lats->push_back(context.model->PredictFromEmbedding(
-            embedded, context.theta0, machine.state(),
-            machine.hardware().id));
-      }
+    std::vector<LatencyModel::PredictionCandidate> candidates;
+    candidates.reserve(total);
+    for (const ResourceConfig& theta : thetas) {
+      candidates.push_back({theta, machine.state(), machine.hardware().id});
     }
+    if (theta0_index < 0) {
+      candidates.push_back(
+          {context.theta0, machine.state(), machine.hardware().id});
+    }
+    lats->assign(total, 0.0);
+    LatencyModel::BatchScratch scratch;
+    context.model->PredictBatch(embedded, candidates, lats->data(), &scratch,
+                                context.memo);
   };
 
   auto compute_group = [&](int gi) {
@@ -432,83 +421,33 @@ RaaResult RunRaa(const SchedulingContext& context,
           any_abort.store(true, std::memory_order_relaxed);
           return;
         }
-        // Incremental maintenance: a donor entry (same cluster, bucket,
-        // theta0 and model; different grid — capacity or share moved the
-        // exploration window) supplies exact latencies for every theta the
-        // grids share, so only the new region is predicted. Patched builds
-        // are bit-identical to from-scratch builds: each latency is a pure
-        // function of (embedding, theta, bucket), whoever computed it.
-        std::shared_ptr<const FrontierEntry> donor;
-        cache->LookupDonor(gp.key, &donor);
         auto entry = std::make_shared<FrontierEntry>();
         entry->grid = grid;
-        entry->latencies.assign(grid.size(), 0.0);
-        std::vector<int> missing;
-        bool donor_lat0 = false;
-        if (donor != nullptr) {
-          for (size_t t = 0; t < grid.size(); ++t) {
-            bool found = false;
-            for (size_t d = 0; d < donor->grid.size(); ++d) {
-              if (DoubleBits(donor->grid[d].cores) ==
-                      DoubleBits(grid[t].cores) &&
-                  DoubleBits(donor->grid[d].memory_gb) ==
-                      DoubleBits(grid[t].memory_gb)) {
-                entry->latencies[t] = donor->latencies[d];
-                found = true;
-                break;
-              }
-            }
-            if (!found) missing.push_back(static_cast<int>(t));
-          }
-          donor_lat0 = true;  // donor key shares the theta0 bits
-        } else {
-          missing.resize(grid.size());
-          for (size_t t = 0; t < grid.size(); ++t) {
-            missing[t] = static_cast<int>(t);
-          }
-        }
-        const bool need_extra_theta0 = gp.theta0_index < 0 && !donor_lat0;
-        if (!missing.empty() || need_extra_theta0) {
-          std::vector<ResourceConfig> todo;
-          todo.reserve(missing.size());
-          for (int t : missing) {
-            todo.push_back(grid[static_cast<size_t>(t)]);
-          }
-          std::vector<double> lats;
-          predict_thetas(canonical_embedded.value(), machine, todo,
-                         need_extra_theta0 ? -1 : 0, &lats);
-          for (size_t j = 0; j < missing.size(); ++j) {
-            entry->latencies[static_cast<size_t>(missing[j])] = lats[j];
-          }
-          if (need_extra_theta0) entry->lat0 = lats.back();
-        }
-        if (gp.theta0_index >= 0) {
-          entry->lat0 =
-              entry->latencies[static_cast<size_t>(gp.theta0_index)];
-        } else if (donor_lat0) {
-          entry->lat0 = donor->lat0;
-        }
+        predict_thetas(canonical_embedded.value(), machine, grid,
+                       gp.theta0_index, &entry->latencies);
+        entry->lat0 =
+            gp.theta0_index >= 0
+                ? entry->latencies[static_cast<size_t>(gp.theta0_index)]
+                : entry->latencies.back();
+        entry->latencies.resize(grid.size());
         entry->frontier = solver.SolveExhaustive(entry->latencies.data(),
                                                  entry->grid);
         cache->Insert(gp.key, entry);
         tmpl = std::move(entry);
         if (c_builds != nullptr) c_builds->Increment();
-        if (donor != nullptr && c_patches != nullptr) c_patches->Increment();
       }
 
-      if (options.correction_top_k <= 0 ||
-          group.representative == gp.canonical) {
-        // The template IS this group's solve (canonical == representative),
-        // or corrections are disabled: share it verbatim.
+      if (group.representative == gp.canonical) {
+        // The template IS this group's solve: share it verbatim.
         slot.frontier = tmpl->frontier;
         slot.lat0 = tmpl->lat0;
       } else {
         // Correction pass: re-rank K evenly spread template-frontier
         // points (endpoints included) plus theta0 with this group's true
-        // representative embedding, then Pareto-filter. Bounded by the
-        // quality knob; deterministic given (template, K, representative).
+        // representative embedding, then Pareto-filter. Bounded by
+        // kCorrectionTopK; deterministic given (template, representative).
         const int f = static_cast<int>(tmpl->frontier.size());
-        const int k = std::min(options.correction_top_k, f);
+        const int k = std::min(kCorrectionTopK, f);
         std::vector<ResourceConfig> picked;
         picked.reserve(static_cast<size_t>(k));
         int last = -1;

@@ -30,14 +30,6 @@ struct RaaOptions {
   /// objectives, and our users (like the paper's) weight the latency axis
   /// higher when picking from the dominating region of the frontier.
   std::vector<double> wun_weights = {3.0, 1.0};
-  /// Frontier-compression quality knob (DESIGN.md §16): when the context
-  /// runs with frontier_compression, a group whose representative differs
-  /// from its cluster's canonical representative re-ranks this many evenly
-  /// spread template-frontier points (plus theta0) with its own true
-  /// embedding instead of sweeping the whole grid. 0 = pure template
-  /// sharing (cheapest, coarsest); larger K approaches the uncompressed
-  /// per-group solve at K extra predictions per group.
-  int correction_top_k = 4;
 };
 
 struct RaaResult {

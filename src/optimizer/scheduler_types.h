@@ -57,13 +57,6 @@ struct SchedulingContext {
   /// Span id the scheduler should parent its decision span under (-1 =
   /// root). Set by the simulator's per-stage span.
   int trace_parent = -1;
-  /// Batched-inference switch. When true (default) IPA/clustered-IPA/RAA
-  /// and the MOO baselines issue PredictBatch sweeps over the model; when
-  /// false they run the original scalar PredictFromEmbedding loops, kept
-  /// alive as the bench baseline and the determinism-test oracle. Both
-  /// paths are bit-identical by construction, so this flag can never change
-  /// a decision — only its cost.
-  bool batched_inference = true;
   /// Optional prediction memo shared across stages (caller-owned, thread-
   /// safe; must be cleared whenever the model is retrained). Null = no
   /// memoization. Hits return exactly the value the model would compute,
@@ -72,7 +65,7 @@ struct SchedulingContext {
   /// Frontier compression (DESIGN.md §16): RAA builds one Pareto-frontier
   /// template per (instance cluster, machine bucket) from the cluster's
   /// canonical representative and instantiates each group's decision from
-  /// it with a bounded correction pass (RaaOptions::correction_top_k). On
+  /// it with a bounded correction pass (kCorrectionTopK in raa.cc). On
   /// by default; off runs the uncompressed per-group solve, which is
   /// bit-identical to the legacy path and remains the quality oracle.
   bool frontier_compression = true;

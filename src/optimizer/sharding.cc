@@ -186,9 +186,9 @@ int RefineMergedDecision(const SchedulingContext& context,
     if (id >= 0) used[static_cast<size_t>(id)]++;
   }
 
-  // Embed once per instance (fanned across the pool like BuildBplMatrix's
-  // batched path), then one batched sweep for every instance's latency
-  // under its current placement.
+  // Embed once per instance (fanned across the pool like BuildBplMatrix),
+  // then one batched sweep for every instance's latency under its current
+  // placement.
   std::vector<LatencyModel::EmbeddedInstance> embedded(
       static_cast<size_t>(m));
   std::atomic<bool> failed{false};

@@ -119,7 +119,6 @@ StageDecision StageOptimizer::OptimizeSharded(const SchedulingContext& context,
   Stopwatch wall;
   obs::ScopedSpan shard_span(context.obs.tracer, "so.sharded", trace_parent);
   const Stage& stage = *context.stage;
-  const int m = stage.instance_count();
   const int k = EffectiveShardCount(context);
 
   ShardPlan plan = PlanForContext(context);

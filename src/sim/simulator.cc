@@ -16,7 +16,7 @@ namespace fgro {
 
 namespace {
 
-/// Per-instance record of the fault-tolerant replay of one stage.
+/// Per-instance record of the replay of one stage.
 struct InstanceRun {
   double completion = 0.0;     // elapsed since stage start, incl. backoff
   double final_run = 0.0;      // runtime of the winning attempt
@@ -255,7 +255,6 @@ Status ReplayJobInState(const Workload& workload, const LatencyModel* model,
       context.ro_time_limit_seconds = options.ro_time_limit_seconds;
       context.obs = options.obs;
       context.trace_parent = stage_span.id();
-      context.batched_inference = options.batched_inference;
       context.memo = options.memo;
       context.frontier_compression = options.frontier_compression;
       context.frontier_cache = options.frontier_cache;
@@ -419,508 +418,110 @@ Status ReplayJobInState(const Workload& workload, const LatencyModel* model,
         continue;
       }
 
-      if (engine != nullptr) {
-        // Reconfiguration dispatch: instances launch in index order and the
-        // engine may repair the not-yet-dispatched tail mid-stage. With no
-        // trigger firing this path consumes the RNG in exactly the legacy
-        // order (one draw per instance, i ascending), so reconfig-on
-        // replays without faults or drift stay byte-identical to
-        // reconfig-off ones.
-        const int m = stage.instance_count();
-        const double stage_start = cluster.now();
-        const RetryPolicy& policy = options.faults.retry;
-        std::vector<int> assign_machine = decision.machine_of_instance;
-        std::vector<ResourceConfig> assign_theta = decision.theta_of_instance;
-        std::vector<double> start_offset(static_cast<size_t>(m), 0.0);
-        // What is actually charged per slot (replans re-point the tail).
-        std::vector<int> alloc_machine = assign_machine;
-        std::vector<ResourceConfig> alloc_theta = assign_theta;
-        for (int i = 0; i < m; ++i) {
-          cluster.machine(alloc_machine[static_cast<size_t>(i)])
-              .Allocate(alloc_theta[static_cast<size_t>(i)]);
-        }
-        std::vector<InstanceRun> runs(static_cast<size_t>(m));
-        std::vector<std::pair<int, ResourceConfig>> extra_allocs;
-        double solve_total = decision.solve_seconds;
-        int replans_done = 0;
-        int migrations_done = 0;
-        // Completed (post-rescue) run durations so far this stage; the
-        // running median is the self-normalizing straggler anchor.
-        std::vector<double> completed_runs;
-        completed_runs.reserve(static_cast<size_t>(m));
-
-        for (int i = 0; i < m; ++i) {
-          const ResourceConfig theta = assign_theta[static_cast<size_t>(i)];
-          const double rate = context.cost_weights.Rate(theta);
-          InstanceRun& run = runs[static_cast<size_t>(i)];
-          run.machine = assign_machine[static_cast<size_t>(i)];
-          double t = start_offset[static_cast<size_t>(i)];
-          // Jitter stream for this instance's retries: a pure function of
-          // (job, stage, instance), so the full-jitter backoff is
-          // byte-identical at any thread count yet decorrelated across
-          // the instances that failed in the same machine-down epoch.
-          const uint64_t retry_stream =
-              MixSeed(MixSeed(static_cast<uint64_t>(job_idx),
-                              static_cast<uint64_t>(s)),
-                      static_cast<uint64_t>(i));
-
-          if (!faults) {
-            const Machine& machine = cluster.machine(run.machine);
-            Result<double> drawn = sample_actual(stage, i, machine, theta);
-            if (!drawn.ok()) return drawn.status();
-            run.final_run = drawn.value();
-            run.completion = t + drawn.value();
-            run.succeeded = true;
-          } else {
-            for (int attempt = 1;; ++attempt) {
-              if (!injector.MachineUp(run.machine, stage_start + t)) {
-                // Machine already down at dispatch (e.g. it crashed between
-                // a re-plan and this launch): nothing ran, nothing is
-                // wasted; route through the ordinary retry/failover path.
-                const Status failure =
-                    Status::Unavailable("machine down at dispatch");
-                if (!policy.ShouldRetry(failure, attempt)) {
-                  ++outcome.failed_instances;
-                  run.completion = t;
-                  break;
-                }
-                t += policy.BackoffSeconds(attempt, retry_stream);
-                ++outcome.retries;
-                int next = PickRetryMachine(cluster, injector, theta,
-                                            stage_start + t, run.machine);
-                if (next < 0) {
-                  ++outcome.failed_instances;
-                  run.completion = t;
-                  break;
-                }
-                ++outcome.failovers;
-                run.machine = next;
-                if (cluster.machine(next).Allocate(theta)) {
-                  extra_allocs.emplace_back(next, theta);
-                }
-                continue;
-              }
-              const Machine& machine = cluster.machine(run.machine);
-              Result<double> drawn = sample_actual(stage, i, machine, theta);
-              if (!drawn.ok()) return drawn.status();
-              double nominal =
-                  drawn.value() *
-                  injector.StragglerMultiplier(job_idx, s, i, attempt);
-
-              double crash_at = 0.0;
-              const bool machine_crash = injector.MachineCrashesWithin(
-                  run.machine, stage_start + t, nominal, &crash_at);
-              const bool inst_fail =
-                  injector.InstanceFails(job_idx, s, i, attempt);
-              if (!machine_crash && !inst_fail) {
-                run.final_run = nominal;
-                run.completion = t + nominal;
-                run.succeeded = true;
-                break;
-              }
-              double ran = nominal;
-              if (inst_fail) {
-                ran = injector.FailurePointFraction(job_idx, s, i, attempt) *
-                      nominal;
-              }
-              if (machine_crash) {
-                ran = std::min(ran, crash_at - (stage_start + t));
-              }
-              ran = std::max(0.0, ran);
-              outcome.wasted_cost += ran * rate;
-              const Status failure =
-                  machine_crash
-                      ? Status::Unavailable("machine crashed mid-attempt")
-                      : Status::ResourceExhausted("instance attempt failed");
-              if (!policy.ShouldRetry(failure, attempt)) {
-                ++outcome.failed_instances;
-                run.completion = t + ran;
-                break;
-              }
-              t += ran + policy.BackoffSeconds(attempt, retry_stream);
-              ++outcome.retries;
-              if (machine_crash ||
-                  !injector.MachineUp(run.machine, stage_start + t)) {
-                int next = PickRetryMachine(cluster, injector, theta,
-                                            stage_start + t, run.machine);
-                if (next < 0) {
-                  ++outcome.failed_instances;
-                  run.completion = t;
-                  break;
-                }
-                ++outcome.failovers;
-                run.machine = next;
-                if (cluster.machine(next).Allocate(theta)) {
-                  extra_allocs.emplace_back(next, theta);
-                }
-              }
-            }
-          }
-
-          // Straggler migration: the winning attempt ran far past a
-          // detection anchor, so at the detection point a replacement is
-          // launched on the best healthy machine and races the original;
-          // the loser is killed the moment the winner finishes and its
-          // burned runtime is wasted cost. Detection trips on whichever of
-          // two anchors fires first (the race makes over-eager trips cost
-          // only waste, while a missed trip costs stage latency):
-          //  - the active model's per-instance prediction, counted only
-          //    while the model is trustworthy (no alarm, or a fresh
-          //    fine-tune inside its trust window) — mid-drift a
-          //    half-repaired model underpredicts uniformly and would flag
-          //    every instance;
-          //  - the running median of this stage's completed runs (once 3
-          //    samples exist) — self-normalizing under regime shift, the
-          //    same property that makes speculative execution key on it,
-          //    so real stragglers are still rescued while the watchdog is
-          //    alarmed with no trusted repair.
-          if (run.succeeded && engine->options().migrate_stragglers &&
-              migrations_done < engine->options().max_migrations_per_stage) {
-            const LatencyModel* active = engine->active_model();
-            if (active != nullptr && active->trained()) {
-              const double threshold = engine->options().migration_threshold;
-              double anchor = -1.0;  // smallest anchor the run overran
-              if (completed_runs.size() >= 3) {
-                std::vector<double> sorted = completed_runs;
-                const std::size_t mid = sorted.size() / 2;
-                std::nth_element(sorted.begin(), sorted.begin() + mid,
-                                 sorted.end());
-                if (run.final_run > threshold * sorted[mid]) {
-                  anchor = sorted[mid];
-                }
-              }
-              if (!(watchdog.enabled() && watchdog.alarmed()) ||
-                  engine->ModelTrusted()) {
-                const Machine& current = cluster.machine(run.machine);
-                Result<double> pred =
-                    active->Predict(stage, i, theta, current.state(),
-                                    current.hardware().id);
-                if (pred.ok() && pred.value() > 0.0 &&
-                    run.final_run > threshold * pred.value() &&
-                    (anchor < 0.0 || pred.value() < anchor)) {
-                  anchor = pred.value();
-                }
-              }
-              if (anchor > 0.0) {
-                const double started = run.completion - run.final_run;
-                const double detect_at = started + threshold * anchor;
-                const int target = engine->PickMigrationTarget(
-                    cluster, up_fn, stage, i, theta, stage_start + detect_at,
-                    run.machine);
-                if (target >= 0) {
-                  Result<double> drawn = sample_actual(
-                      stage, i, cluster.machine(target), theta);
-                  if (!drawn.ok()) return drawn.status();
-                  // Attempt index 2000: a private straggler-fate stream for
-                  // migrated runs (speculative copies use 1000).
-                  const double mig_run =
-                      drawn.value() *
-                      injector.StragglerMultiplier(job_idx, s, i, 2000);
-                  const double mig_completion = detect_at + mig_run;
-                  ++migrations_done;
-                  engine->CountMigration();
-                  ++outcome.migrations;
-                  // The replacement occupied a real slot whichever way the
-                  // race went.
-                  if (cluster.machine(target).Allocate(theta)) {
-                    extra_allocs.emplace_back(target, theta);
-                  }
-                  // The original keeps running while the replacement races
-                  // it; the first to finish wins and the loser is killed at
-                  // that instant, its whole burned runtime charged as
-                  // waste. Killing the original at detection instead would
-                  // gamble the stage tail on the replacement not
-                  // re-straggling — a lost race must never make the stage
-                  // slower than doing nothing.
-                  if (mig_completion < run.completion) {
-                    engine->CountMigrationWin();
-                    ++outcome.migration_wins;
-                    outcome.wasted_cost +=
-                        std::max(0.0, mig_completion - started) * rate;
-                    run.machine = target;
-                    run.final_run = mig_run;
-                    run.completion = mig_completion;
-                  } else {
-                    outcome.wasted_cost +=
-                        std::max(0.0, run.completion - detect_at) * rate;
-                  }
-                }
-              }
-            }
-          }
-
-          bool promoted_now = false;
-          if (run.succeeded) {
-            completed_runs.push_back(run.final_run);
-            const Machine& machine = cluster.machine(run.machine);
-            if (shadow) {
-              promoted_now = observe_drift(stage, s, i, machine, theta,
-                                           run.final_run, &outcome);
-            }
-            engine->RecordObservation(job_idx, s, stage, i, theta, machine,
-                                      run.final_run);
-          }
-
-          // Mid-stage triggers: a drift alarm that a fine-tune just
-          // repaired, or a remaining assignment pointing at a machine that
-          // has gone down, re-plans the not-yet-dispatched tail.
-          if (i + 1 >= m || replans_done >= engine->options().max_replans_per_stage) {
-            continue;
-          }
-          const double t_check = stage_start + run.completion;
-          bool want_replan = false;
-          // When the re-plan is repairing a machine event, the repair point
-          // is the event itself (the crash a heartbeat would detect), not
-          // the completion of instance i where this loop happens to look.
-          double replan_at = run.completion;
-          bool drift_replan = false;
-          if (promoted_now && engine->options().replan_on_drift_alarm) {
-            // A mid-stage promotion: the undispatched tail was planned by
-            // the superseded model; re-solve it with the promoted one.
-            want_replan = true;
-            drift_replan = true;
-          }
-          if (engine->NoteDriftAlarms(watchdog.alarms_raised()) &&
-              engine->options().replan_on_drift_alarm) {
-            // Re-planning with the model that just proved untrustworthy
-            // would reproduce the same plan: only worth it if the tune ran.
-            // (Under the lifecycle the tune is only *submitted* as a gate
-            // candidate — the active model is unchanged, so no re-plan
-            // until a later observation promotes it.)
-            if (engine->MaybeFineTune()) {
-              want_replan = true;
-              drift_replan = true;
-            }
-          }
-          if (!want_replan && faults &&
-              engine->options().replan_on_machine_event) {
-            for (int j = i + 1; j < m; ++j) {
-              const int mj = assign_machine[static_cast<size_t>(j)];
-              if (injector.MachineUp(mj, t_check)) continue;
-              want_replan = true;
-              double crash_at = 0.0;
-              // Down since before the stage started -> event time 0.
-              double event = 0.0;
-              if (injector.MachineCrashesWithin(mj, stage_start,
-                                                run.completion, &crash_at)) {
-                event = crash_at - stage_start;
-              }
-              replan_at = std::min(replan_at, std::max(0.0, event));
-            }
-          }
-          if (!want_replan) continue;
-
-          ++replans_done;
-          for (int j = i + 1; j < m; ++j) {
-            cluster.machine(alloc_machine[static_cast<size_t>(j)])
-                .Release(alloc_theta[static_cast<size_t>(j)]);
-          }
-          if (faults) {
-            engine->NoteMachineLiveness(&cluster, up_fn,
-                                        stage_start + replan_at);
-          }
-          // A drift re-plan re-optimizes the whole undispatched tail (the
-          // repaired model may prefer different placements everywhere). A
-          // machine-event re-plan solves only the instances that actually
-          // need repair — re-pointing healthy instances would charge them
-          // the re-dispatch delay for no reason.
-          std::vector<int> remaining;
-          if (drift_replan) {
-            remaining.resize(static_cast<size_t>(m - i - 1));
-            std::iota(remaining.begin(), remaining.end(), i + 1);
-          } else {
-            for (int j = i + 1; j < m; ++j) {
-              if (!injector.MachineUp(assign_machine[static_cast<size_t>(j)],
-                                      t_check)) {
-                remaining.push_back(j);
-              }
-            }
-          }
-          SchedulingContext sub = context;
-          sub.model = engine->active_model();
-          sub.model_available =
-              model_server_up &&
-              (!(watchdog.enabled() && watchdog.alarmed()) ||
-               engine->ModelTrusted());
-          sub.memo = nullptr;
-          // sub.frontier_cache is inherited through the copy on purpose:
-          // its content-based keys (params_tag included) stay exact under
-          // the swapped model and the reduced stage view, so partial
-          // re-plans hit warm frontier templates.
-          sub.instance_subset = &remaining;
-          sub.epoch = engine->current_epoch();
-          if (lifecycle != nullptr) {
-            sub.model_epoch = lifecycle->model_epoch();
-          }
-          sub.deadline = Deadline::After(std::max(
-              0.1, options.ro_time_limit_seconds - solve_total));
-          StageDecision redo;
-          {
-            obs::ScopedSpan replan_span(options.obs.tracer,
-                                        "reconfig.replan", stage_span.id());
-            redo = scheduler(sub);
-          }
-          if (lifecycle != nullptr) {
-            lifecycle->NoteDecision(redo.solve_seconds);
-          }
-          solve_total += redo.solve_seconds;
-          if (redo.feasible &&
-              redo.machine_of_instance.size() == remaining.size()) {
-            engine->CountReplan();
-            ++outcome.replans;
-            for (size_t r = 0; r < remaining.size(); ++r) {
-              const size_t j = static_cast<size_t>(remaining[r]);
-              const bool moved =
-                  assign_machine[j] != redo.machine_of_instance[r] ||
-                  !(assign_theta[j] == redo.theta_of_instance[r]);
-              assign_machine[j] = redo.machine_of_instance[r];
-              assign_theta[j] = redo.theta_of_instance[r];
-              // Instances the re-plan actually moved re-dispatch at the
-              // repair point — the delay is honestly charged to latency.
-              // Instances whose assignment survived were never recalled
-              // and keep their original dispatch time.
-              if (moved) start_offset[j] = replan_at;
-            }
-          } else {
-            engine->CountReplanFailure();
-          }
-          for (int j = i + 1; j < m; ++j) {
-            alloc_machine[static_cast<size_t>(j)] =
-                assign_machine[static_cast<size_t>(j)];
-            alloc_theta[static_cast<size_t>(j)] =
-                assign_theta[static_cast<size_t>(j)];
-            cluster.machine(alloc_machine[static_cast<size_t>(j)])
-                .Allocate(alloc_theta[static_cast<size_t>(j)]);
-          }
-        }
-
-        double max_latency = 0.0, useful_cost = 0.0;
-        std::vector<double> latencies(static_cast<size_t>(m));
-        bool all_succeeded = true;
-        for (int i = 0; i < m; ++i) {
-          const InstanceRun& run = runs[static_cast<size_t>(i)];
-          const ResourceConfig& theta = assign_theta[static_cast<size_t>(i)];
-          latencies[static_cast<size_t>(i)] = run.completion;
-          max_latency = std::max(max_latency, run.completion);
-          if (run.succeeded) {
-            useful_cost += run.final_run * context.cost_weights.Rate(theta);
-          } else {
-            all_succeeded = false;
-          }
-        }
-        for (int i = 0; i < m; ++i) {
-          cluster.machine(alloc_machine[static_cast<size_t>(i)])
-              .Release(alloc_theta[static_cast<size_t>(i)]);
-        }
-        for (const auto& [machine_id, extra_theta] : extra_allocs) {
-          cluster.machine(machine_id).Release(extra_theta);
-        }
-
-        outcome.feasible = all_succeeded;
-        outcome.solve_seconds = solve_total;
-        outcome.stage_latency = max_latency;
-        outcome.stage_latency_in = max_latency + solve_total;
-        outcome.stage_cost = useful_cost + outcome.wasted_cost;
-        outcome.drift_alarm_raised = watchdog.alarms_raised() > alarms_before;
-        outcome.fine_tunes =
-            static_cast<int>(engine->stats().fine_tunes - tunes_before);
-        finish_lifecycle(&outcome);
-        if (keep_instance_detail) {
-          outcome.instance_latencies = std::move(latencies);
-          outcome.instance_thetas = std::move(assign_theta);
-        }
-        out->push_back(std::move(outcome));
-        deps.MarkCompleted(s);
-        continue;
-      }
-
-      // Charge the machines for the stage's containers.
+      // Dispatch: instances launch in index order, each through the one
+      // attempt step below. With an engine attached, the engine may
+      // migrate a straggler and re-plan the not-yet-dispatched tail
+      // mid-stage; with no trigger firing the loop consumes the RNG in
+      // exactly the order of a replay without an engine (one draw per
+      // attempt, i ascending), so reconfig-on replays without faults or
+      // drift stay byte-identical to reconfig-off ones.
       const int m = stage.instance_count();
-      for (int i = 0; i < m; ++i) {
-        cluster
-            .machine(decision.machine_of_instance[static_cast<size_t>(i)])
-            .Allocate(decision.theta_of_instance[static_cast<size_t>(i)]);
-      }
-
-      if (!faults) {
-        // Happy path, bit-identical to the fault-free build.
-        double max_latency = 0.0, cost = 0.0;
-        std::vector<double> latencies(static_cast<size_t>(m));
-        for (int i = 0; i < m; ++i) {
-          const Machine& machine = cluster.machine(
-              decision.machine_of_instance[static_cast<size_t>(i)]);
-          const ResourceConfig& theta =
-              decision.theta_of_instance[static_cast<size_t>(i)];
-          Result<double> actual = sample_actual(stage, i, machine, theta);
-          if (!actual.ok()) return actual.status();
-          latencies[static_cast<size_t>(i)] = actual.value();
-          max_latency = std::max(max_latency, actual.value());
-          cost += actual.value() * context.cost_weights.Rate(theta);
-          if (shadow) {
-            observe_drift(stage, s, i, machine, theta, actual.value(),
-                          &outcome);
-          }
-        }
-        for (int i = 0; i < m; ++i) {
-          cluster
-              .machine(decision.machine_of_instance[static_cast<size_t>(i)])
-              .Release(decision.theta_of_instance[static_cast<size_t>(i)]);
-        }
-        outcome.stage_latency = max_latency;
-        outcome.stage_latency_in = max_latency + decision.solve_seconds;
-        outcome.stage_cost = cost;
-        outcome.drift_alarm_raised = watchdog.alarms_raised() > alarms_before;
-        finish_lifecycle(&outcome);
-        if (keep_instance_detail) {
-          outcome.instance_latencies = std::move(latencies);
-          outcome.instance_thetas = decision.theta_of_instance;
-        }
-        out->push_back(std::move(outcome));
-        deps.MarkCompleted(s);
-        continue;
-      }
-
-      // Fault-tolerant path: attempts fail (injected failures, machine
-      // crashes) and are retried with backoff on surviving machines; the
-      // lost work of every failed or killed attempt is wasted cost.
       const double stage_start = cluster.now();
       const RetryPolicy& policy = options.faults.retry;
-      std::vector<InstanceRun> runs(static_cast<size_t>(m));
-      // Extra allocations made by failovers, released at stage end.
-      std::vector<std::pair<int, ResourceConfig>> extra_allocs;
-
+      std::vector<int> assign_machine = std::move(decision.machine_of_instance);
+      std::vector<ResourceConfig> assign_theta =
+          std::move(decision.theta_of_instance);
+      std::vector<double> start_offset(static_cast<size_t>(m), 0.0);
+      // What is actually charged per slot (replans re-point the tail).
+      std::vector<int> alloc_machine = assign_machine;
+      std::vector<ResourceConfig> alloc_theta = assign_theta;
       for (int i = 0; i < m; ++i) {
-        const ResourceConfig& theta =
-            decision.theta_of_instance[static_cast<size_t>(i)];
+        cluster.machine(alloc_machine[static_cast<size_t>(i)])
+            .Allocate(alloc_theta[static_cast<size_t>(i)]);
+      }
+      std::vector<InstanceRun> runs(static_cast<size_t>(m));
+      // Extra allocations made by failovers and migrations, released at
+      // stage end.
+      std::vector<std::pair<int, ResourceConfig>> extra_allocs;
+      double solve_total = decision.solve_seconds;
+      int replans_done = 0;
+      int migrations_done = 0;
+      // Completed (post-rescue) run durations so far this stage; the
+      // running median is the self-normalizing straggler anchor.
+      std::vector<double> completed_runs;
+      completed_runs.reserve(static_cast<size_t>(m));
+
+      // Attempt step of instance i dispatched at offset t: each attempt
+      // draws its runtime on its machine. With faults on, attempts fail
+      // (injected failures, machine crashes) and are retried with backoff:
+      // in place after a transient container failure, on a surviving
+      // machine (failover) when the current one is gone. The lost work of
+      // every failed attempt is wasted cost. An inactive injector reports
+      // every machine up and never crashes one; its per-attempt draws read
+      // the rates even when disabled, hence the `faults` guards.
+      auto execute = [&](int i, const ResourceConfig& theta, double t,
+                         InstanceRun& run) -> Status {
         const double rate = context.cost_weights.Rate(theta);
-        InstanceRun& run = runs[static_cast<size_t>(i)];
-        run.machine =
-            decision.machine_of_instance[static_cast<size_t>(i)];
-        double t = 0.0;  // elapsed since stage start, this instance
-        // Per-(job, stage, instance) jitter stream; see the reconfig
-        // dispatch branch for the determinism rationale.
+        // Jitter stream for this instance's retries: a pure function of
+        // (job, stage, instance), so the full-jitter backoff is
+        // byte-identical at any thread count yet decorrelated across the
+        // instances that failed in the same machine-down epoch.
         const uint64_t retry_stream =
             MixSeed(MixSeed(static_cast<uint64_t>(job_idx),
                             static_cast<uint64_t>(s)),
                     static_cast<uint64_t>(i));
+        // Moves the run to the retry machine; false (the instance failed)
+        // when the cluster has nowhere left to put it.
+        auto fail_over = [&] {
+          const int next = PickRetryMachine(cluster, injector, theta,
+                                            stage_start + t, run.machine);
+          if (next < 0) {
+            ++outcome.failed_instances;
+            run.completion = t;
+            return false;
+          }
+          ++outcome.failovers;
+          run.machine = next;
+          if (cluster.machine(next).Allocate(theta)) {
+            extra_allocs.emplace_back(next, theta);
+          }
+          return true;
+        };
         for (int attempt = 1;; ++attempt) {
-          const Machine& machine = cluster.machine(run.machine);
-          Result<double> drawn = sample_actual(stage, i, machine, theta);
-          if (!drawn.ok()) return drawn.status();
-          double nominal =
-              drawn.value() *
-              injector.StragglerMultiplier(job_idx, s, i, attempt);
-
+          if (!injector.MachineUp(run.machine, stage_start + t)) {
+            // Machine already down at dispatch (e.g. it crashed between a
+            // re-plan and this launch): nothing ran, nothing is wasted;
+            // route through the ordinary retry/failover path. Without an
+            // engine this never fires at t = 0: the scheduler only places
+            // on machines up at cluster.now().
+            const Status failure =
+                Status::Unavailable("machine down at dispatch");
+            if (!policy.ShouldRetry(failure, attempt)) {
+              ++outcome.failed_instances;
+              run.completion = t;
+              return Status::OK();
+            }
+            t += policy.BackoffSeconds(attempt, retry_stream);
+            ++outcome.retries;
+            if (!fail_over()) return Status::OK();
+            continue;
+          }
+          FGRO_ASSIGN_OR_RETURN(
+              double nominal,
+              sample_actual(stage, i, cluster.machine(run.machine), theta));
+          if (faults) {
+            nominal *= injector.StragglerMultiplier(job_idx, s, i, attempt);
+          }
           double crash_at = 0.0;
           const bool machine_crash = injector.MachineCrashesWithin(
               run.machine, stage_start + t, nominal, &crash_at);
           const bool inst_fail =
-              injector.InstanceFails(job_idx, s, i, attempt);
+              faults && injector.InstanceFails(job_idx, s, i, attempt);
           if (!machine_crash && !inst_fail) {
             run.final_run = nominal;
             run.completion = t + nominal;
             run.succeeded = true;
-            break;
+            return Status::OK();
           }
           // Work lost at the earlier of the two failure sources.
           double ran = nominal;
@@ -940,68 +541,303 @@ Status ReplayJobInState(const Workload& workload, const LatencyModel* model,
           if (!policy.ShouldRetry(failure, attempt)) {
             ++outcome.failed_instances;
             run.completion = t + ran;
-            break;
+            return Status::OK();
           }
           t += ran + policy.BackoffSeconds(attempt, retry_stream);
           ++outcome.retries;
-          // Re-place when the current machine is gone; otherwise retry
-          // in place (transient container failure).
-          if (machine_crash ||
-              !injector.MachineUp(run.machine, stage_start + t)) {
-            int next = PickRetryMachine(cluster, injector, theta,
-                                        stage_start + t, run.machine);
-            if (next < 0) {
-              ++outcome.failed_instances;
-              run.completion = t;
-              break;
+          // Re-place when the current machine is gone; otherwise retry in
+          // place (transient container failure).
+          if ((machine_crash ||
+               !injector.MachineUp(run.machine, stage_start + t)) &&
+              !fail_over()) {
+            return Status::OK();
+          }
+        }
+      };
+
+      for (int i = 0; i < m; ++i) {
+        const ResourceConfig theta = assign_theta[static_cast<size_t>(i)];
+        InstanceRun& run = runs[static_cast<size_t>(i)];
+        run.machine = assign_machine[static_cast<size_t>(i)];
+        FGRO_RETURN_IF_ERROR(
+            execute(i, theta, start_offset[static_cast<size_t>(i)], run));
+        // Without an engine nothing reacts mid-stage: speculation and the
+        // shadow observations run below, once every run is final.
+        if (engine == nullptr) continue;
+        const double rate = context.cost_weights.Rate(theta);
+        // Straggler migration: the winning attempt ran far past a
+        // detection anchor, so at the detection point a replacement is
+        // launched on the best healthy machine and races the original;
+        // the loser is killed the moment the winner finishes and its
+        // burned runtime is wasted cost. Detection trips on whichever of
+        // two anchors fires first (the race makes over-eager trips cost
+        // only waste, while a missed trip costs stage latency):
+        //  - the active model's per-instance prediction, counted only
+        //    while the model is trustworthy (no alarm, or a fresh
+        //    fine-tune inside its trust window) — mid-drift a
+        //    half-repaired model underpredicts uniformly and would flag
+        //    every instance;
+        //  - the running median of this stage's completed runs (once 3
+        //    samples exist) — self-normalizing under regime shift, the
+        //    same property that makes speculative execution key on it,
+        //    so real stragglers are still rescued while the watchdog is
+        //    alarmed with no trusted repair.
+        if (run.succeeded && engine->options().migrate_stragglers &&
+            migrations_done < engine->options().max_migrations_per_stage) {
+          const LatencyModel* active = engine->active_model();
+          if (active != nullptr && active->trained()) {
+            const double threshold = engine->options().migration_threshold;
+            double anchor = -1.0;  // smallest anchor the run overran
+            if (completed_runs.size() >= 3) {
+              std::vector<double> sorted = completed_runs;
+              const std::size_t mid = sorted.size() / 2;
+              std::nth_element(sorted.begin(), sorted.begin() + mid,
+                               sorted.end());
+              if (run.final_run > threshold * sorted[mid]) {
+                anchor = sorted[mid];
+              }
             }
-            ++outcome.failovers;
-            run.machine = next;
-            if (cluster.machine(next).Allocate(theta)) {
-              extra_allocs.emplace_back(next, theta);
+            if (!(watchdog.enabled() && watchdog.alarmed()) ||
+                engine->ModelTrusted()) {
+              const Machine& current = cluster.machine(run.machine);
+              Result<double> pred =
+                  active->Predict(stage, i, theta, current.state(),
+                                  current.hardware().id);
+              if (pred.ok() && pred.value() > 0.0 &&
+                  run.final_run > threshold * pred.value() &&
+                  (anchor < 0.0 || pred.value() < anchor)) {
+                anchor = pred.value();
+              }
+            }
+            if (anchor > 0.0) {
+              const double started = run.completion - run.final_run;
+              const double detect_at = started + threshold * anchor;
+              const int target = engine->PickMigrationTarget(
+                  cluster, up_fn, stage, i, theta, stage_start + detect_at,
+                  run.machine);
+              if (target >= 0) {
+                Result<double> drawn = sample_actual(
+                    stage, i, cluster.machine(target), theta);
+                if (!drawn.ok()) return drawn.status();
+                // Attempt index 2000: a private straggler-fate stream for
+                // migrated runs (speculative copies use 1000).
+                const double mig_run =
+                    drawn.value() *
+                    injector.StragglerMultiplier(job_idx, s, i, 2000);
+                const double mig_completion = detect_at + mig_run;
+                ++migrations_done;
+                engine->CountMigration();
+                ++outcome.migrations;
+                // The replacement occupied a real slot whichever way the
+                // race went.
+                if (cluster.machine(target).Allocate(theta)) {
+                  extra_allocs.emplace_back(target, theta);
+                }
+                // The original keeps running while the replacement races
+                // it; the first to finish wins and the loser is killed at
+                // that instant, its whole burned runtime charged as
+                // waste. Killing the original at detection instead would
+                // gamble the stage tail on the replacement not
+                // re-straggling — a lost race must never make the stage
+                // slower than doing nothing.
+                if (mig_completion < run.completion) {
+                  engine->CountMigrationWin();
+                  ++outcome.migration_wins;
+                  outcome.wasted_cost +=
+                      std::max(0.0, mig_completion - started) * rate;
+                  run.machine = target;
+                  run.final_run = mig_run;
+                  run.completion = mig_completion;
+                } else {
+                  outcome.wasted_cost +=
+                      std::max(0.0, run.completion - detect_at) * rate;
+                }
+              }
             }
           }
+        }
+
+        bool promoted_now = false;
+        if (run.succeeded) {
+          completed_runs.push_back(run.final_run);
+          const Machine& machine = cluster.machine(run.machine);
+          if (shadow) {
+            promoted_now = observe_drift(stage, s, i, machine, theta,
+                                         run.final_run, &outcome);
+          }
+          engine->RecordObservation(job_idx, s, stage, i, theta, machine,
+                                    run.final_run);
+        }
+
+        // Mid-stage triggers: a drift alarm that a fine-tune just
+        // repaired, or a remaining assignment pointing at a machine that
+        // has gone down, re-plans the not-yet-dispatched tail.
+        if (i + 1 >= m ||
+            replans_done >= engine->options().max_replans_per_stage) {
+          continue;
+        }
+        const double t_check = stage_start + run.completion;
+        bool want_replan = false;
+        // When the re-plan is repairing a machine event, the repair point
+        // is the event itself (the crash a heartbeat would detect), not
+        // the completion of instance i where this loop happens to look.
+        double replan_at = run.completion;
+        bool drift_replan = false;
+        if (promoted_now && engine->options().replan_on_drift_alarm) {
+          // A mid-stage promotion: the undispatched tail was planned by
+          // the superseded model; re-solve it with the promoted one.
+          want_replan = true;
+          drift_replan = true;
+        }
+        if (engine->NoteDriftAlarms(watchdog.alarms_raised()) &&
+            engine->options().replan_on_drift_alarm) {
+          // Re-planning with the model that just proved untrustworthy
+          // would reproduce the same plan: only worth it if the tune ran.
+          // (Under the lifecycle the tune is only *submitted* as a gate
+          // candidate — the active model is unchanged, so no re-plan
+          // until a later observation promotes it.)
+          if (engine->MaybeFineTune()) {
+            want_replan = true;
+            drift_replan = true;
+          }
+        }
+        if (!want_replan && faults &&
+            engine->options().replan_on_machine_event) {
+          for (int j = i + 1; j < m; ++j) {
+            const int mj = assign_machine[static_cast<size_t>(j)];
+            if (injector.MachineUp(mj, t_check)) continue;
+            want_replan = true;
+            double crash_at = 0.0;
+            // Down since before the stage started -> event time 0.
+            double event = 0.0;
+            if (injector.MachineCrashesWithin(mj, stage_start,
+                                              run.completion, &crash_at)) {
+              event = crash_at - stage_start;
+            }
+            replan_at = std::min(replan_at, std::max(0.0, event));
+          }
+        }
+        if (!want_replan) continue;
+
+        ++replans_done;
+        for (int j = i + 1; j < m; ++j) {
+          cluster.machine(alloc_machine[static_cast<size_t>(j)])
+              .Release(alloc_theta[static_cast<size_t>(j)]);
+        }
+        if (faults) {
+          engine->NoteMachineLiveness(&cluster, up_fn,
+                                      stage_start + replan_at);
+        }
+        // A drift re-plan re-optimizes the whole undispatched tail (the
+        // repaired model may prefer different placements everywhere). A
+        // machine-event re-plan solves only the instances that actually
+        // need repair — re-pointing healthy instances would charge them
+        // the re-dispatch delay for no reason.
+        std::vector<int> remaining;
+        if (drift_replan) {
+          remaining.resize(static_cast<size_t>(m - i - 1));
+          std::iota(remaining.begin(), remaining.end(), i + 1);
+        } else {
+          for (int j = i + 1; j < m; ++j) {
+            if (!injector.MachineUp(assign_machine[static_cast<size_t>(j)],
+                                    t_check)) {
+              remaining.push_back(j);
+            }
+          }
+        }
+        SchedulingContext sub = context;
+        sub.model = engine->active_model();
+        sub.model_available =
+            model_server_up &&
+            (!(watchdog.enabled() && watchdog.alarmed()) ||
+             engine->ModelTrusted());
+        sub.memo = nullptr;
+        // sub.frontier_cache is inherited through the copy on purpose:
+        // its content-based keys (params_tag included) stay exact under
+        // the swapped model and the reduced stage view, so partial
+        // re-plans hit warm frontier templates.
+        sub.instance_subset = &remaining;
+        sub.epoch = engine->current_epoch();
+        if (lifecycle != nullptr) {
+          sub.model_epoch = lifecycle->model_epoch();
+        }
+        sub.deadline = Deadline::After(std::max(
+            0.1, options.ro_time_limit_seconds - solve_total));
+        StageDecision redo;
+        {
+          obs::ScopedSpan replan_span(options.obs.tracer,
+                                      "reconfig.replan", stage_span.id());
+          redo = scheduler(sub);
+        }
+        if (lifecycle != nullptr) {
+          lifecycle->NoteDecision(redo.solve_seconds);
+        }
+        solve_total += redo.solve_seconds;
+        if (redo.feasible &&
+            redo.machine_of_instance.size() == remaining.size()) {
+          engine->CountReplan();
+          ++outcome.replans;
+          for (size_t r = 0; r < remaining.size(); ++r) {
+            const size_t j = static_cast<size_t>(remaining[r]);
+            const bool moved =
+                assign_machine[j] != redo.machine_of_instance[r] ||
+                !(assign_theta[j] == redo.theta_of_instance[r]);
+            assign_machine[j] = redo.machine_of_instance[r];
+            assign_theta[j] = redo.theta_of_instance[r];
+            // Instances the re-plan actually moved re-dispatch at the
+            // repair point — the delay is honestly charged to latency.
+            // Instances whose assignment survived were never recalled
+            // and keep their original dispatch time.
+            if (moved) start_offset[j] = replan_at;
+          }
+        } else {
+          engine->CountReplanFailure();
+        }
+        for (int j = i + 1; j < m; ++j) {
+          alloc_machine[static_cast<size_t>(j)] =
+              assign_machine[static_cast<size_t>(j)];
+          alloc_theta[static_cast<size_t>(j)] =
+              assign_theta[static_cast<size_t>(j)];
+          cluster.machine(alloc_machine[static_cast<size_t>(j)])
+              .Allocate(alloc_theta[static_cast<size_t>(j)]);
         }
       }
 
       // Speculative re-execution: instances lagging far behind the stage
-      // median get a backup copy; first finisher wins, the loser's run
-      // is killed and charged as waste.
-      if (options.faults.speculative_execution && m >= 3) {
+      // median get a backup copy; first finisher wins, the loser's run is
+      // killed and charged as waste. An engine migrates stragglers instead.
+      if (engine == nullptr && faults &&
+          options.faults.speculative_execution && m >= 3) {
         std::vector<double> completions;
         completions.reserve(static_cast<size_t>(m));
         for (const InstanceRun& run : runs) {
           if (run.succeeded) completions.push_back(run.completion);
         }
         const double median = Median(completions);
-        const double detect_at =
-            options.faults.speculative_threshold * median;
+        const double detect_at = options.faults.speculative_threshold * median;
         if (!completions.empty() && median > 0.0) {
           for (int i = 0; i < m; ++i) {
             InstanceRun& run = runs[static_cast<size_t>(i)];
             if (!run.succeeded || run.completion <= detect_at) continue;
-            const ResourceConfig& theta =
-                decision.theta_of_instance[static_cast<size_t>(i)];
+            const ResourceConfig& theta = assign_theta[static_cast<size_t>(i)];
             const double rate = context.cost_weights.Rate(theta);
-            int copy_machine =
-                PickRetryMachine(cluster, injector, theta,
-                                 stage_start + detect_at, run.machine);
+            const int copy_machine = PickRetryMachine(
+                cluster, injector, theta, stage_start + detect_at, run.machine);
             if (copy_machine < 0) continue;
-            Result<double> drawn = sample_actual(
-                stage, i, cluster.machine(copy_machine), theta);
-            if (!drawn.ok()) return drawn.status();
-            // The copy gets its own straggler draw on a high attempt
-            // index so it never collides with a retry attempt's fate.
-            double copy_run =
-                drawn.value() *
-                injector.StragglerMultiplier(job_idx, s, i, 1000);
-            double copy_completion = detect_at + copy_run;
+            FGRO_ASSIGN_OR_RETURN(
+                const double drawn,
+                sample_actual(stage, i, cluster.machine(copy_machine), theta));
+            // The copy gets its own straggler draw on a high attempt index
+            // so it never collides with a retry attempt's fate.
+            const double copy_run =
+                drawn * injector.StragglerMultiplier(job_idx, s, i, 1000);
+            const double copy_completion = detect_at + copy_run;
             ++outcome.speculative_copies;
             if (copy_completion < run.completion) {
               ++outcome.speculative_wins;
               // Original killed when the copy finishes: everything the
               // final original attempt ran is lost.
-              double original_started = run.completion - run.final_run;
+              const double original_started = run.completion - run.final_run;
               outcome.wasted_cost +=
                   std::max(0.0, copy_completion - original_started) * rate;
               run.final_run = copy_run;
@@ -1015,48 +851,59 @@ Status ReplayJobInState(const Workload& workload, const LatencyModel* model,
           }
         }
       }
+      // Without an engine the shadow observations follow speculation, so
+      // every observed run is final.
+      if (engine == nullptr && shadow) {
+        for (int i = 0; i < m; ++i) {
+          const InstanceRun& run = runs[static_cast<size_t>(i)];
+          if (!run.succeeded) continue;
+          // Feed the winning attempt's runtime; straggler noise is part of
+          // the drift signal the watchdog is meant to see.
+          observe_drift(stage, s, i, cluster.machine(run.machine),
+                        assign_theta[static_cast<size_t>(i)],
+                        run.final_run, &outcome);
+        }
+      }
 
       double max_latency = 0.0, useful_cost = 0.0;
       std::vector<double> latencies(static_cast<size_t>(m));
       bool all_succeeded = true;
       for (int i = 0; i < m; ++i) {
         const InstanceRun& run = runs[static_cast<size_t>(i)];
-        const ResourceConfig& theta =
-            decision.theta_of_instance[static_cast<size_t>(i)];
         latencies[static_cast<size_t>(i)] = run.completion;
         max_latency = std::max(max_latency, run.completion);
         if (run.succeeded) {
-          useful_cost += run.final_run * context.cost_weights.Rate(theta);
-          if (shadow) {
-            // Feed the winning attempt's runtime; straggler noise is part
-            // of the drift signal the watchdog is meant to see.
-            observe_drift(stage, s, i, cluster.machine(run.machine), theta,
-                          run.final_run, &outcome);
-          }
+          useful_cost +=
+              run.final_run * context.cost_weights.Rate(
+                                  assign_theta[static_cast<size_t>(i)]);
         } else {
           all_succeeded = false;
         }
       }
       for (int i = 0; i < m; ++i) {
-        cluster
-            .machine(decision.machine_of_instance[static_cast<size_t>(i)])
-            .Release(decision.theta_of_instance[static_cast<size_t>(i)]);
+        cluster.machine(alloc_machine[static_cast<size_t>(i)])
+            .Release(alloc_theta[static_cast<size_t>(i)]);
       }
-      for (const auto& [machine_id, theta] : extra_allocs) {
-        cluster.machine(machine_id).Release(theta);
+      for (const auto& [machine_id, extra_theta] : extra_allocs) {
+        cluster.machine(machine_id).Release(extra_theta);
       }
 
       // A stage that lost an instance past its retry budget did not
       // produce its output: it fails cleanly (no crash, waste recorded).
       outcome.feasible = all_succeeded;
+      outcome.solve_seconds = solve_total;
       outcome.stage_latency = max_latency;
-      outcome.stage_latency_in = max_latency + decision.solve_seconds;
+      outcome.stage_latency_in = max_latency + solve_total;
       outcome.stage_cost = useful_cost + outcome.wasted_cost;
       outcome.drift_alarm_raised = watchdog.alarms_raised() > alarms_before;
+      if (engine != nullptr) {
+        outcome.fine_tunes =
+            static_cast<int>(engine->stats().fine_tunes - tunes_before);
+      }
       finish_lifecycle(&outcome);
       if (keep_instance_detail) {
         outcome.instance_latencies = std::move(latencies);
-        outcome.instance_thetas = decision.theta_of_instance;
+        outcome.instance_thetas = std::move(assign_theta);
       }
       out->push_back(std::move(outcome));
       deps.MarkCompleted(s);

@@ -77,10 +77,6 @@ struct SimOptions {
   /// determinism guarantee), and both registry and tracer are internally
   /// synchronized so concurrent service workers may share them.
   obs::Obs obs;
-  /// Batched inference for the optimizer hot path (forwarded to
-  /// SchedulingContext::batched_inference). On by default; replays are
-  /// bit-identical either way, so flipping this only changes wall-clock.
-  bool batched_inference = true;
   /// Optional prediction memo shared across stages (caller-owned; clear it
   /// whenever the model is retrained). Null = no memoization.
   PredictionMemo* memo = nullptr;

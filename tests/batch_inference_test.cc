@@ -295,6 +295,30 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (int v : serial) EXPECT_EQ(v, 1);
 }
 
+// Test-only scalar reference for BuildBplMatrix: one Embed per row and one
+// PredictFromEmbedding per cell, in row-major order. The bit-identity
+// oracle for the batched matrix build.
+std::vector<std::vector<double>> ScalarBplMatrix(
+    const SchedulingContext& context, const std::vector<int>& instance_rows,
+    const std::vector<int>& machine_cols) {
+  const LatencyModel& model = *context.model;
+  std::vector<std::vector<double>> L(
+      instance_rows.size(), std::vector<double>(machine_cols.size()));
+  for (size_t i = 0; i < instance_rows.size(); ++i) {
+    Result<LatencyModel::EmbeddedInstance> embedded =
+        model.Embed(*context.stage, instance_rows[i]);
+    EXPECT_TRUE(embedded.ok());
+    if (!embedded.ok()) return {};
+    for (size_t j = 0; j < machine_cols.size(); ++j) {
+      const Machine& machine = context.cluster->machine(machine_cols[j]);
+      L[i][j] = model.PredictFromEmbedding(embedded.value(), context.theta0,
+                                           machine.state(),
+                                           machine.hardware().id);
+    }
+  }
+  return L;
+}
+
 TEST(BplMatrixTest, BatchedParallelMatchesScalarSequential) {
   // The IPA latency matrix must be byte-identical between the scalar
   // sequential build and the batched build fanned across a pool, memo on.
@@ -314,14 +338,11 @@ TEST(BplMatrixTest, BatchedParallelMatchesScalarSequential) {
   std::vector<int> machine_cols = cluster.AvailableMachines(context.theta0);
   ASSERT_FALSE(machine_cols.empty());
 
-  context.batched_inference = false;
-  std::vector<std::vector<double>> scalar_matrix;
-  ASSERT_TRUE(
-      BuildBplMatrix(context, instance_rows, machine_cols, &scalar_matrix));
+  const std::vector<std::vector<double>> scalar_matrix =
+      ScalarBplMatrix(context, instance_rows, machine_cols);
 
   ThreadPool pool(4);
   PredictionMemo memo;
-  context.batched_inference = true;
   context.worker_pool = &pool;
   context.memo = &memo;
   std::vector<std::vector<double>> batched_matrix;

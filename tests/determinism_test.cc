@@ -278,10 +278,12 @@ TEST(DeterminismTest, MetricsEnabledReplayIsByteIdenticalAcrossThreads) {
 }
 
 TEST(DeterminismTest, BatchedParallelReplayMatchesScalarSequential) {
-  // The batched-inference engine's contract: flipping batched_inference,
-  // attaching a prediction memo, and fanning RAA across a worker pool must
-  // never change a decision — only wall-clock. A full replay through the
-  // IPA+RAA path must be byte-identical in every mode.
+  // The batched-inference engine's contract: attaching a prediction memo
+  // and fanning RAA across a worker pool must never change a decision —
+  // only wall-clock. A full replay through the IPA+RAA path must be
+  // byte-identical between the serial, memo-less replay and every
+  // pooled/memoized mode. (The per-cell scalar reference for the batched
+  // matrix itself lives in batch_inference_test.)
   ExperimentEnv::Options options;
   options.workload = WorkloadId::kA;
   options.scale = 0.03;
@@ -290,11 +292,10 @@ TEST(DeterminismTest, BatchedParallelReplayMatchesScalarSequential) {
   Result<std::unique_ptr<ExperimentEnv>> env = ExperimentEnv::Build(options);
   ASSERT_TRUE(env.ok()) << env.status().ToString();
 
-  auto run_with = [&](bool batched, PredictionMemo* memo, ThreadPool* pool) {
+  auto run_with = [&](PredictionMemo* memo, ThreadPool* pool) {
     SimOptions sim_options;
     sim_options.outcome = OutcomeMode::kEnvironment;
     sim_options.seed = 13;
-    sim_options.batched_inference = batched;
     sim_options.memo = memo;
     sim_options.worker_pool = pool;
     Simulator sim(&(*env)->workload(), &(*env)->model(), sim_options);
@@ -305,13 +306,13 @@ TEST(DeterminismTest, BatchedParallelReplayMatchesScalarSequential) {
     return std::move(result).value();
   };
 
-  const SimResult scalar = run_with(false, nullptr, nullptr);
-  const SimResult batched = run_with(true, nullptr, nullptr);
+  const SimResult serial = run_with(nullptr, nullptr);
   ThreadPool pool(4);
   PredictionMemo memo;
-  const SimResult parallel_memoized = run_with(true, &memo, &pool);
+  const SimResult parallel = run_with(nullptr, &pool);
+  const SimResult parallel_memoized = run_with(&memo, &pool);
   // A second pass through the warm memo must still match (hits are exact).
-  const SimResult warm_memo = run_with(true, &memo, &pool);
+  const SimResult warm_memo = run_with(&memo, &pool);
   EXPECT_GT(memo.hits(), 0u);
 
   auto expect_same = [](const SimResult& a, const SimResult& b) {
@@ -331,9 +332,9 @@ TEST(DeterminismTest, BatchedParallelReplayMatchesScalarSequential) {
       EXPECT_EQ(x.default_theta_cores, y.default_theta_cores);
     }
   };
-  expect_same(scalar, batched);
-  expect_same(scalar, parallel_memoized);
-  expect_same(scalar, warm_memo);
+  expect_same(serial, parallel);
+  expect_same(serial, parallel_memoized);
+  expect_same(serial, warm_memo);
 }
 
 TEST(DeterminismTest, ReconfigReplayIsByteIdenticalAcrossThreads) {

@@ -1,11 +1,11 @@
 // Property suite for RAA frontier compression (DESIGN.md §16): the
 // FrontierCache's exactness contracts (bit-verified grids, idempotent
-// insert, FIFO bounds, donor index, model-tag invalidation, concurrent
+// insert, FIFO bounds, model-tag invalidation, concurrent
 // safety), the compressed solve's purity (bit-identical across cache
 // warmth, cache sharing, worker pools, and service thread counts), the
 // invalidation semantics (hot-swap never serves stale; a theta-grid change
-// patches via a donor; a machine-state change rebuilds only the affected
-// clusters), the within-solve dedup of identical (theta, state-bucket)
+// rebuilds bit-identically; a machine-state change rebuilds only the
+// affected clusters), the within-solve dedup of identical (theta, state-bucket)
 // sweeps, and the WUN quality bound of compressed plans against the
 // per-instance oracle at shard_count 1 and 4.
 
@@ -120,28 +120,6 @@ TEST(FrontierCacheTest, FifoEvictionBoundsSize) {
   EXPECT_EQ(cache.inserts(), 300u);
 }
 
-TEST(FrontierCacheTest, DonorIndexFindsGridVariantsOfTheSameCluster) {
-  FrontierCache cache;
-  const std::vector<ResourceConfig> g1 = MakeGrid(6, 1.0);
-  const FrontierKey key1 = MakeKey(1, g1);
-  cache.Insert(key1, MakeEntry(g1, 10.0));
-
-  // Same cluster / bucket / theta0 / model, different grid: donor found.
-  const std::vector<ResourceConfig> g2 = MakeGrid(4, 2.0);
-  FrontierKey key2 = key1;
-  key2.grid_hash = FrontierGridHash(g2);
-  ASSERT_NE(key2.grid_hash, key1.grid_hash);
-  std::shared_ptr<const FrontierEntry> donor;
-  ASSERT_TRUE(cache.LookupDonor(key2, &donor));
-  EXPECT_EQ(donor->latencies[0], 10.0);
-  EXPECT_EQ(cache.donor_hits(), 1u);
-
-  // A different theta0 is a different DonorKey: no donor.
-  FrontierKey key3 = key2;
-  key3.theta0_cores_bits = 777;
-  EXPECT_FALSE(cache.LookupDonor(key3, &donor));
-}
-
 TEST(FrontierCacheTest, EnsureModelTagDropsOnlyStaleEntries) {
   FrontierCache cache;
   const std::vector<ResourceConfig> grid = MakeGrid(5, 1.0);
@@ -168,8 +146,8 @@ TEST(FrontierCacheTest, EnsureModelTagDropsOnlyStaleEntries) {
 }
 
 TEST(FrontierCacheTest, ConcurrentLookupInsertInvalidateIsSafe) {
-  // Stress the shard locks and the donor index under concurrent readers,
-  // writers, and tag invalidations (run under TSan in CI). Correctness
+  // Stress the shard locks under concurrent readers, writers, and tag
+  // invalidations (run under TSan in CI). Correctness
   // assertion: every hit returns an entry whose payload matches what the
   // key's inserter wrote — values are key-pure, so no interleaving may
   // surface a mismatched entry.
@@ -193,7 +171,6 @@ TEST(FrontierCacheTest, ConcurrentLookupInsertInvalidateIsSafe) {
           cache.Insert(key, MakeEntry(grid, id));
         }
         if (op % 200 == 199) cache.EnsureModelTag(7);
-        cache.LookupDonor(key, &out);
       }
     });
   }
@@ -344,11 +321,10 @@ TEST_F(FrontierFixture, HotSwappedModelNeverServesStaleTemplates) {
   EXPECT_GT(cache.invalidations(), 0u);
 }
 
-TEST_F(FrontierFixture, ThetaGridChangePatchesFromDonorBitIdentically) {
+TEST_F(FrontierFixture, ThetaGridChangeRebuildsBitIdentically) {
   // A capacity change moves RAA's exploration window (the theta grid) while
-  // the machine bucket, theta0 and model stay put: the rebuilt template must
-  // patch its overlapping grid points from the donor entry and still be
-  // bit-identical to a from-scratch build.
+  // the machine bucket, theta0 and model stay put: the template rebuilt in
+  // the warm cache must be bit-identical to a from-scratch build.
   Stage stage = testing_util::MakeJoinStage(8);
   Cluster cluster(ClusterOptions{.num_machines = 4, .seed = 5});
   SchedulingContext context = MakeContext(stage, &cluster);
@@ -370,7 +346,7 @@ TEST_F(FrontierFixture, ThetaGridChangePatchesFromDonorBitIdentically) {
   // Shrink every machine's free capacity hard enough that the per-group
   // capacity cap (available + theta0) / coresidents falls below the top of
   // the exploration window and drops grid points. Allocation does not touch
-  // the observable SystemState, so the DonorKey is unchanged.
+  // the observable SystemState, so only the grid part of the key moves.
   for (int j = 0; j < cluster.size(); ++j) {
     Machine& machine = cluster.machine(j);
     ResourceConfig bite;
@@ -381,22 +357,20 @@ TEST_F(FrontierFixture, ThetaGridChangePatchesFromDonorBitIdentically) {
   }
 
   const uint64_t misses_before = cache.misses();
-  RaaResult patched = RunRaa(context, placement, nullptr, options);
-  ASSERT_TRUE(patched.ok);
+  RaaResult rebuilt = RunRaa(context, placement, nullptr, options);
+  ASSERT_TRUE(rebuilt.ok);
   ASSERT_GT(cache.misses(), misses_before)
       << "capacity bite did not change any theta grid; test is vacuous";
-  EXPECT_GT(cache.donor_hits(), 0u)
-      << "grid change rebuilt from scratch instead of patching";
 
-  // Patched == fresh, bit for bit.
+  // Warm-cache rebuild == fresh, bit for bit.
   SchedulingContext fresh_ctx = context;
   FrontierCache fresh_cache;
   fresh_ctx.frontier_cache = &fresh_cache;
   RaaResult fresh = RunRaa(fresh_ctx, placement, nullptr, options);
   ASSERT_TRUE(fresh.ok);
-  ASSERT_EQ(patched.theta_of_instance.size(), fresh.theta_of_instance.size());
+  ASSERT_EQ(rebuilt.theta_of_instance.size(), fresh.theta_of_instance.size());
   for (size_t i = 0; i < fresh.theta_of_instance.size(); ++i) {
-    EXPECT_TRUE(patched.theta_of_instance[i] == fresh.theta_of_instance[i]);
+    EXPECT_TRUE(rebuilt.theta_of_instance[i] == fresh.theta_of_instance[i]);
   }
 }
 
