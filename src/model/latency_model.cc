@@ -195,23 +195,16 @@ Status LatencyModel::PrepareForInference(const Stage& stage, int instance_idx,
 }
 
 double LatencyModel::ForwardBackward(const PreparedSample& sample,
-                                     const double* dpred) {
+                                     bool backward) {
   switch (options_.kind) {
     case ModelKind::kMciGtn: {
-      GraphEmbedder::Cache cache;
-      Vec emb = gnn_.Forward(sample.graph, &cache);
-      Vec input = emb;
+      FGRO_CHECK(!backward) << "the GTN trains through TrainStep";
+      GraphEmbedder::BatchCache cache;
+      const Mat& emb = gnn_.ForwardBatch({&sample.graph}, &cache);
+      Vec input = emb.data;
       input.insert(input.end(), sample.inst_features.begin(),
                    sample.inst_features.end());
-      MlpCache mc;
-      double pred = predictor_.Forward(input, &mc)[0];
-      if (dpred != nullptr) {
-        Vec dinput = predictor_.Backward(mc, Vec{*dpred});
-        Vec demb(dinput.begin(),
-                 dinput.begin() + static_cast<long>(emb.size()));
-        gnn_.Backward(cache, demb);
-      }
-      return pred;
+      return predictor_.Forward(input)[0];
     }
     case ModelKind::kMciTlstm:
     case ModelKind::kTlstmOriginal: {
@@ -224,8 +217,8 @@ double LatencyModel::ForwardBackward(const PreparedSample& sample,
       }
       MlpCache mc;
       double pred = predictor_.Forward(input, &mc)[0];
-      if (dpred != nullptr) {
-        Vec dinput = predictor_.Backward(mc, Vec{*dpred});
+      if (backward) {
+        Vec dinput = predictor_.Backward(mc, Vec{pred - sample.target_log});
         Vec demb(dinput.begin(),
                  dinput.begin() + static_cast<long>(emb.size()));
         tlstm_.Backward(cache, demb);
@@ -240,7 +233,7 @@ double LatencyModel::ForwardBackward(const PreparedSample& sample,
                                : nullptr;
       double pred =
           qpp_.Forward(sample.graph, sample.tree_root, &cache, context);
-      if (dpred != nullptr) qpp_.Backward(cache, *dpred);
+      if (backward) qpp_.Backward(cache, pred - sample.target_log);
       return pred;
     }
   }
@@ -250,7 +243,89 @@ double LatencyModel::ForwardBackward(const PreparedSample& sample,
 double LatencyModel::ForwardOnly(const PreparedSample& sample) const {
   // Forward never mutates parameters; the const_cast spares a parallel
   // const implementation of the cached forward passes.
-  return const_cast<LatencyModel*>(this)->ForwardBackward(sample, nullptr);
+  return const_cast<LatencyModel*>(this)->ForwardBackward(sample, false);
+}
+
+/// Reused across the minibatches of one Train/FineTune call.
+struct LatencyModel::TrainScratch {
+  std::vector<const PlanGraph*> graphs;
+  GraphEmbedder::BatchCache gnn;
+  Mat head_in;  // [embedding | instance features], one row per sample
+  MlpBatchCache head;
+  Mat dpred;    // one column
+  Mat dhead_in;
+  Mat demb;
+};
+
+void LatencyModel::TrainStep(const std::vector<PreparedSample>& samples,
+                             const size_t* batch, int count,
+                             const std::vector<Param*>& params, Adam* adam,
+                             TrainScratch* scratch, double* loss_sum) {
+  adam->ZeroGrad(params);
+  if (options_.kind != ModelKind::kMciGtn) {
+    for (int k = 0; k < count; ++k) {
+      const PreparedSample& s = samples[batch[k]];
+      const double dpred = ForwardBackward(s, true) - s.target_log;
+      *loss_sum += 0.5 * dpred * dpred;
+    }
+    adam->Step(params, count);
+    return;
+  }
+  // The whole minibatch as one forward and one backward. Each parameter's
+  // gradient still accumulates sample by sample in batch order (see
+  // DESIGN.md §11), so the step is bit-identical to per-sample backprop.
+  scratch->graphs.resize(static_cast<size_t>(count));
+  for (int k = 0; k < count; ++k) {
+    scratch->graphs[static_cast<size_t>(k)] = &samples[batch[k]].graph;
+  }
+  const Mat& emb = gnn_.ForwardBatch(scratch->graphs, &scratch->gnn);
+  const int e = emb.cols;
+  scratch->head_in.Resize(count, predictor_.in_dim());
+  for (int k = 0; k < count; ++k) {
+    const Vec& inst = samples[batch[k]].inst_features;
+    FGRO_CHECK(e + static_cast<int>(inst.size()) == scratch->head_in.cols);
+    double* row = scratch->head_in.Row(k);
+    std::memcpy(row, emb.Row(k), static_cast<size_t>(e) * sizeof(double));
+    std::memcpy(row + e, inst.data(), inst.size() * sizeof(double));
+  }
+  const Mat& pred = predictor_.ForwardBatch(scratch->head_in, &scratch->head);
+  scratch->dpred.Resize(count, 1);
+  for (int k = 0; k < count; ++k) {
+    const double dpred = pred.Row(k)[0] - samples[batch[k]].target_log;
+    *loss_sum += 0.5 * dpred * dpred;
+    scratch->dpred.Row(k)[0] = dpred;
+  }
+  predictor_.BackwardBatch(&scratch->head, scratch->dpred,
+                           &scratch->dhead_in);
+  scratch->demb.Resize(count, e);
+  for (int k = 0; k < count; ++k) {
+    std::memcpy(scratch->demb.Row(k), scratch->dhead_in.Row(k),
+                static_cast<size_t>(e) * sizeof(double));
+  }
+  gnn_.BackwardBatch(scratch->demb, &scratch->gnn);
+  adam->Step(params, count);
+}
+
+void LatencyModel::RunEpochs(
+    const std::vector<PreparedSample>& samples, const TrainOptions& options,
+    Rng* rng, Adam* adam,
+    const std::function<void(int, double)>& after_epoch) {
+  const std::vector<Param*> params = AllParams();
+  std::vector<size_t> order(samples.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  TrainScratch scratch;
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    std::shuffle(order.begin(), order.end(), rng->engine());
+    double loss_sum = 0.0;
+    for (size_t pos = 0; pos < order.size();) {
+      const int count = static_cast<int>(std::min(
+          order.size() - pos, static_cast<size_t>(options.batch_size)));
+      TrainStep(samples, order.data() + pos, count, params, adam, &scratch,
+                &loss_sum);
+      pos += static_cast<size_t>(count);
+    }
+    after_epoch(epoch, loss_sum);
+  }
 }
 
 std::vector<Param*> LatencyModel::AllParams() {
@@ -273,10 +348,28 @@ std::vector<Param*> LatencyModel::AllParams() {
   return params;
 }
 
+namespace {
+
+Status ValidateTrainOptions(const TrainOptions& options) {
+  if (options.batch_size < 1) {
+    return Status::InvalidArgument("batch_size must be at least 1, got " +
+                                   std::to_string(options.batch_size));
+  }
+  if (options.max_train_samples < 0) {
+    return Status::InvalidArgument(
+        "max_train_samples must be non-negative, got " +
+        std::to_string(options.max_train_samples));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status LatencyModel::Train(const TraceDataset& dataset,
                            const std::vector<int>& train_idx,
                            const std::vector<int>& val_idx,
                            const TrainOptions& options, Target target) {
+  FGRO_RETURN_IF_ERROR(ValidateTrainOptions(options));
   target_ = target;
   Rng rng(options.seed);
 
@@ -288,7 +381,8 @@ Status LatencyModel::Train(const TraceDataset& dataset,
   }
   if (indices.empty()) return Status::InvalidArgument("empty training set");
 
-  // Pass 1: raw features to fit the standardizers.
+  // Prepare with the standardizers reset (Apply is then a no-op), so the
+  // samples hold raw features to fit them on.
   op_standardizer_ = Standardizer{};
   inst_standardizer_ = Standardizer{};
   std::vector<PreparedSample> samples(indices.size());
@@ -305,58 +399,35 @@ Status LatencyModel::Train(const TraceDataset& dataset,
     op_standardizer_.Fit(op_rows);
     inst_standardizer_.Fit(inst_rows);
   }
-  // Pass 2: re-prepare with standardization (and QPPNet broadcast) applied.
-  for (size_t i = 0; i < indices.size(); ++i) {
-    double raw = samples[i].target_raw, lg = samples[i].target_log;
-    FGRO_RETURN_IF_ERROR(
-        PrepareSample(dataset, indices[i], target, &samples[i]));
-    samples[i].target_raw = raw;
-    samples[i].target_log = lg;
+  // Standardize in place: exactly what re-preparing each sample with the
+  // fitted standardizers would compute, without rebuilding every graph.
+  for (PreparedSample& s : samples) {
+    for (Vec& row : s.graph.node_features) op_standardizer_.Apply(&row);
+    inst_standardizer_.Apply(&s.inst_features);
   }
 
   adam_ = Adam(Adam::Options{.lr = options.lr});
-  std::vector<Param*> params = AllParams();
-  std::vector<size_t> order(samples.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    std::shuffle(order.begin(), order.end(), rng.engine());
-    double loss_sum = 0.0;
-    size_t pos = 0;
-    while (pos < order.size()) {
-      adam_.ZeroGrad(params);
-      int batch = 0;
-      for (; batch < options.batch_size && pos < order.size();
-           ++batch, ++pos) {
-        const PreparedSample& s = samples[order[pos]];
-        double pred = ForwardOnly(s);
-        double dpred = pred - s.target_log;
-        loss_sum += 0.5 * dpred * dpred;
-        ForwardBackward(s, &dpred);
-      }
-      adam_.Step(params, batch);
-    }
+  RunEpochs(samples, options, &rng, &adam_, [&](int epoch, double loss_sum) {
     adam_.set_lr(adam_.lr() * options.lr_decay);
-    if (options.verbose) {
-      trained_ = true;
-      double val_wmape = -1.0;
-      if (!val_idx.empty()) {
-        Result<std::vector<double>> preds = PredictRecords(dataset, val_idx);
-        if (preds.ok()) {
-          std::vector<double> actual;
-          actual.reserve(val_idx.size());
-          for (int idx : val_idx) {
-            actual.push_back(TargetOf(
-                dataset.records[static_cast<size_t>(idx)], target));
-          }
-          val_wmape = ComputeModelMetrics(actual, preds.value()).wmape;
+    if (!options.verbose) return;
+    trained_ = true;
+    double val_wmape = -1.0;
+    if (!val_idx.empty()) {
+      Result<std::vector<double>> preds = PredictRecords(dataset, val_idx);
+      if (preds.ok()) {
+        std::vector<double> actual;
+        actual.reserve(val_idx.size());
+        for (int idx : val_idx) {
+          actual.push_back(
+              TargetOf(dataset.records[static_cast<size_t>(idx)], target));
         }
+        val_wmape = ComputeModelMetrics(actual, preds.value()).wmape;
       }
-      FGRO_LOG(kInfo) << ModelKindName(options_.kind) << " epoch " << epoch
-                      << " train_loss=" << loss_sum / samples.size()
-                      << " val_wmape=" << val_wmape;
     }
-  }
+    FGRO_LOG(kInfo) << ModelKindName(options_.kind) << " epoch " << epoch
+                    << " train_loss=" << loss_sum / samples.size()
+                    << " val_wmape=" << val_wmape;
+  });
   trained_ = true;
   RetagParams();
   return Status::OK();
@@ -366,6 +437,7 @@ Status LatencyModel::FineTune(const TraceDataset& dataset,
                               const std::vector<int>& indices,
                               const TrainOptions& options) {
   if (!trained_) return Status::FailedPrecondition("model not trained");
+  FGRO_RETURN_IF_ERROR(ValidateTrainOptions(options));
   if (indices.empty()) return Status::OK();
   Rng rng(options.seed);
 
@@ -379,26 +451,8 @@ Status LatencyModel::FineTune(const TraceDataset& dataset,
     FGRO_RETURN_IF_ERROR(
         PrepareSample(dataset, subset[i], target_, &samples[i]));
   }
-  std::vector<Param*> params = AllParams();
   Adam tuner(Adam::Options{.lr = options.lr});
-  std::vector<size_t> order(samples.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    std::shuffle(order.begin(), order.end(), rng.engine());
-    size_t pos = 0;
-    while (pos < order.size()) {
-      tuner.ZeroGrad(params);
-      int batch = 0;
-      for (; batch < options.batch_size && pos < order.size();
-           ++batch, ++pos) {
-        const PreparedSample& s = samples[order[pos]];
-        double pred = ForwardOnly(s);
-        double dpred = pred - s.target_log;
-        ForwardBackward(s, &dpred);
-      }
-      tuner.Step(params, batch);
-    }
-  }
+  RunEpochs(samples, options, &rng, &tuner, [](int, double) {});
   RetagParams();
   return Status::OK();
 }
@@ -471,30 +525,52 @@ void LatencyModel::set_obs(const obs::Obs& obs) {
   }
 }
 
-Result<LatencyModel::EmbeddedInstance> LatencyModel::Embed(
-    const Stage& stage, int instance_idx) const {
-  EmbeddedInstance out;
-  out.stage = &stage;
-  out.instance_idx = instance_idx;
-  if (options_.kind == ModelKind::kMciGtn ||
-      options_.kind == ModelKind::kMciTlstm) {
-    PreparedSample sample;
+Result<std::vector<LatencyModel::EmbeddedInstance>> LatencyModel::EmbedBatch(
+    const Stage& stage, const std::vector<int>& instance_ids) const {
+  std::vector<EmbeddedInstance> out(instance_ids.size());
+  for (size_t k = 0; k < out.size(); ++k) {
+    out[k].stage = &stage;
+    out[k].instance_idx = instance_ids[k];
+  }
+  if (out.empty() || (options_.kind != ModelKind::kMciGtn &&
+                      options_.kind != ModelKind::kMciTlstm)) {
+    return out;
+  }
+  std::vector<PreparedSample> samples(out.size());
+  for (size_t k = 0; k < out.size(); ++k) {
     // theta/state/hw are placeholders: only the plan graph matters here.
-    FGRO_RETURN_IF_ERROR(PrepareForInference(
-        stage, instance_idx, ResourceConfig{}, SystemState{}, 0, &sample));
-    if (options_.kind == ModelKind::kMciGtn) {
-      GraphEmbedder::Cache cache;
-      out.plan_embedding = gnn_.Forward(sample.graph, &cache);
-    } else {
-      TreeLstm::Cache cache;
-      out.plan_embedding =
-          tlstm_.Forward(sample.graph, sample.tree_root, &cache);
-    }
+    FGRO_RETURN_IF_ERROR(PrepareForInference(stage, instance_ids[k],
+                                             ResourceConfig{}, SystemState{},
+                                             0, &samples[k]));
     // Standardized Channel-2 slice (first kCh2Dim entries of inst features).
-    out.ch2_features.assign(sample.inst_features.begin(),
-                            sample.inst_features.begin() + kCh2Dim);
+    out[k].ch2_features.assign(samples[k].inst_features.begin(),
+                               samples[k].inst_features.begin() + kCh2Dim);
+  }
+  if (options_.kind == ModelKind::kMciGtn) {
+    std::vector<const PlanGraph*> graphs(samples.size());
+    for (size_t k = 0; k < samples.size(); ++k) graphs[k] = &samples[k].graph;
+    GraphEmbedder::BatchCache cache;
+    const Mat& emb = gnn_.ForwardBatch(graphs, &cache);
+    for (size_t k = 0; k < out.size(); ++k) {
+      const double* row = emb.Row(static_cast<int>(k));
+      out[k].plan_embedding.assign(row, row + emb.cols);
+    }
+  } else {
+    for (size_t k = 0; k < out.size(); ++k) {
+      TreeLstm::Cache cache;
+      out[k].plan_embedding =
+          tlstm_.Forward(samples[k].graph, samples[k].tree_root, &cache);
+    }
   }
   return out;
+}
+
+Result<LatencyModel::EmbeddedInstance> LatencyModel::Embed(
+    const Stage& stage, int instance_idx) const {
+  Result<std::vector<EmbeddedInstance>> batch =
+      EmbedBatch(stage, {instance_idx});
+  if (!batch.ok()) return batch.status();
+  return std::move(batch.value()[0]);
 }
 
 double LatencyModel::PredictFromEmbedding(const EmbeddedInstance& embedded,

@@ -1,6 +1,7 @@
 #ifndef FGRO_MODEL_LATENCY_MODEL_H_
 #define FGRO_MODEL_LATENCY_MODEL_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -106,6 +107,14 @@ class LatencyModel {
     const Stage* stage = nullptr;
     int instance_idx = 0;
   };
+  /// Embeds the instances `instance_ids` of one stage together: every plan
+  /// graph is a block of rows in one batched GTN forward (TLSTM embeds one
+  /// tree at a time). out[k] is bit-identical to Embed(stage,
+  /// instance_ids[k]) — a graph's rows never mix with another's — so callers
+  /// may batch and chunk freely. Fails if any instance fails validation.
+  Result<std::vector<EmbeddedInstance>> EmbedBatch(
+      const Stage& stage, const std::vector<int>& instance_ids) const;
+  /// A batch of one.
   Result<EmbeddedInstance> Embed(const Stage& stage, int instance_idx) const;
   double PredictFromEmbedding(const EmbeddedInstance& embedded,
                               const ResourceConfig& theta,
@@ -227,10 +236,27 @@ class LatencyModel {
                              const ResourceConfig& theta,
                              const SystemState& state, int hardware_type,
                              PreparedSample* out) const;
-  /// Forward pass; if `dpred` != nullptr also runs backward with that
-  /// output gradient (parameter grads accumulate).
-  double ForwardBackward(const PreparedSample& sample, const double* dpred);
+  struct TrainScratch;
+  /// One sample's forward pass. With `backward`, also backpropagates the
+  /// squared-error gradient pred - target_log from that same forward
+  /// (parameter grads accumulate). The GTN trains through TrainStep
+  /// instead, so for it `backward` must be false.
+  double ForwardBackward(const PreparedSample& sample, bool backward);
   double ForwardOnly(const PreparedSample& sample) const;
+  /// One minibatch: zeroes the gradients, accumulates them over
+  /// samples[batch[0..count)] in batch order (the GTN as one batched
+  /// forward and backward, other kinds sample by sample), adds each
+  /// sample's 0.5 * err^2 to *loss_sum, and takes one Adam step.
+  void TrainStep(const std::vector<PreparedSample>& samples,
+                 const size_t* batch, int count,
+                 const std::vector<Param*>& params, Adam* adam,
+                 TrainScratch* scratch, double* loss_sum);
+  /// The epoch loop shared by Train and FineTune: per epoch, reshuffles the
+  /// sample order with `rng`, runs TrainStep over it batch_size samples at
+  /// a time, then calls after_epoch(epoch, loss_sum).
+  void RunEpochs(const std::vector<PreparedSample>& samples,
+                 const TrainOptions& options, Rng* rng, Adam* adam,
+                 const std::function<void(int, double)>& after_epoch);
   std::vector<Param*> AllParams();
   double TargetOf(const InstanceRecord& record, Target target) const;
 

@@ -1,5 +1,6 @@
 #include "nn/linear.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -11,7 +12,7 @@ namespace fgro {
 namespace {
 
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
-// Runtime ISA dispatch for the GEMM panel kernel: the portable binary keeps
+// Runtime ISA dispatch for the GEMM kernels: the portable binary keeps
 // the x86-64 baseline (SSE2) as its default clone and upgrades to AVX2 or
 // AVX-512 on hosts that have them. No clone enables FMA, and the build pins
 // -ffp-contract=off, so every lane computes mul-then-add in the exact
@@ -39,28 +40,122 @@ inline V8 LoadV8(const double* p) {
 /// each weight element is broadcast against 16 contiguous doubles — and
 /// each weight row is streamed once per 16 batch rows. Lane `lane`
 /// accumulates bias + sum over ascending c — the exact scalar-path chain;
-/// the vector ops only run the 16 independent chains side by side.
+/// the vector ops only run independent chains side by side: 16 lanes of
+/// two weight rows at a time, so four accumulators hide the add latency.
 FGRO_KERNEL_CLONES
 void GemmPanelKernel(const double* panel, const double* w, const double* b,
                      int in, int out, double* const* y_rows) {
-  for (int r = 0; r < out; ++r) {
-    const double* wr = w + static_cast<size_t>(r) * static_cast<size_t>(in);
-    V8 acc0 = {b[r], b[r], b[r], b[r], b[r], b[r], b[r], b[r]};
-    V8 acc1 = acc0;
+  // With an odd `out`, the last pass computes the last row twice.
+  for (int r = 0; r < out; r += 2) {
+    const int r1 = std::min(r + 1, out - 1);
+    const double* w0 = w + static_cast<size_t>(r) * static_cast<size_t>(in);
+    const double* w1 = w + static_cast<size_t>(r1) * static_cast<size_t>(in);
+    V8 a00 = {b[r], b[r], b[r], b[r], b[r], b[r], b[r], b[r]};
+    V8 a01 = a00;
+    V8 a10 = {b[r1], b[r1], b[r1], b[r1], b[r1], b[r1], b[r1], b[r1]};
+    V8 a11 = a10;
     const double* p = panel;
     for (int c = 0; c < in; ++c, p += 16) {
-      const double wc = wr[c];
-      const V8 wv = {wc, wc, wc, wc, wc, wc, wc, wc};
-      acc0 += wv * LoadV8(p);
-      acc1 += wv * LoadV8(p + 8);
+      const V8 lo = LoadV8(p);
+      const V8 hi = LoadV8(p + 8);
+      const double x0 = w0[c];
+      const double x1 = w1[c];
+      const V8 v0 = {x0, x0, x0, x0, x0, x0, x0, x0};
+      const V8 v1 = {x1, x1, x1, x1, x1, x1, x1, x1};
+      a00 += v0 * lo;
+      a01 += v0 * hi;
+      a10 += v1 * lo;
+      a11 += v1 * hi;
     }
-    double lanes[16];
-    std::memcpy(lanes, &acc0, sizeof(acc0));
-    std::memcpy(lanes + 8, &acc1, sizeof(acc1));
-    for (int lane = 0; lane < 16; ++lane) y_rows[lane][r] = lanes[lane];
+    double lanes[4][8];
+    std::memcpy(lanes[0], &a00, sizeof(a00));
+    std::memcpy(lanes[1], &a01, sizeof(a01));
+    std::memcpy(lanes[2], &a10, sizeof(a10));
+    std::memcpy(lanes[3], &a11, sizeof(a11));
+    for (int lane = 0; lane < 16; ++lane) {
+      y_rows[lane][r] = lanes[lane / 8][lane % 8];
+      y_rows[lane][r1] = lanes[2 + lane / 8][lane % 8];
+    }
   }
 }
 #endif  // __GNUC__ || __clang__
+
+/// acc[c] += g[0] v[0][c], then += g[1] v[1][c], ..., over `count` terms
+/// and n elements. Each element adds its terms one at a time in order — the
+/// chain of `count` separate acc += g * v passes — while its accumulator
+/// stays in a register; the SIMD lanes run independent elements only.
+FGRO_KERNEL_CLONES
+void AddScaledTerms(double* acc, const double* const* v, const double* g,
+                    int count, int n) {
+  int c = 0;
+#ifdef FGRO_HAVE_VEC
+  for (; c + 16 <= n; c += 16) {
+    V8 a0 = LoadV8(acc + c);
+    V8 a1 = LoadV8(acc + c + 8);
+    for (int k = 0; k < count; ++k) {
+      const double gk = g[k];
+      const V8 gv = {gk, gk, gk, gk, gk, gk, gk, gk};
+      a0 += gv * LoadV8(v[k] + c);
+      a1 += gv * LoadV8(v[k] + c + 8);
+    }
+    std::memcpy(acc + c, &a0, sizeof(a0));
+    std::memcpy(acc + c + 8, &a1, sizeof(a1));
+  }
+  for (; c + 8 <= n; c += 8) {
+    V8 a = LoadV8(acc + c);
+    for (int k = 0; k < count; ++k) {
+      const double gk = g[k];
+      const V8 gv = {gk, gk, gk, gk, gk, gk, gk, gk};
+      a += gv * LoadV8(v[k] + c);
+    }
+    std::memcpy(acc + c, &a, sizeof(a));
+  }
+#endif
+  for (; c < n; ++c) {
+    double a = acc[c];
+    for (int k = 0; k < count; ++k) a += g[k] * v[k][c];
+    acc[c] = a;
+  }
+}
+
+/// Adds a stream of g * v terms onto one accumulator row in the order they
+/// arrive, skipping g == 0 as the scalar backward does, and flushes them
+/// through AddScaledTerms kCapacity at a time. When `sum_of_g` is set, the
+/// kept g also add onto it in order (a bias gradient). The skip is
+/// branch-free: ReLU zeroes about half the gradients in no pattern a branch
+/// predictor could learn.
+class ScaledRowSum {
+ public:
+  ScaledRowSum(double* acc, int n, double* sum_of_g = nullptr)
+      : acc_(acc), sum_of_g_(sum_of_g), n_(n) {}
+  ~ScaledRowSum() { Flush(); }
+
+  void Add(double g, const double* v) {
+    g_[count_] = g;
+    v_[count_] = v;
+    count_ += g != 0.0 ? 1 : 0;
+    if (count_ == kCapacity) Flush();
+  }
+
+ private:
+  static constexpr int kCapacity = 64;
+
+  void Flush() {
+    if (count_ == 0) return;
+    AddScaledTerms(acc_, v_, g_, count_, n_);
+    if (sum_of_g_ != nullptr) {
+      for (int k = 0; k < count_; ++k) *sum_of_g_ += g_[k];
+    }
+    count_ = 0;
+  }
+
+  double* acc_;
+  double* sum_of_g_;
+  int n_;
+  int count_ = 0;
+  double g_[kCapacity];
+  const double* v_[kCapacity];
+};
 
 }  // namespace
 
@@ -102,51 +197,28 @@ void Linear::ForwardBatch(const Mat& x, Mat* y) const {
   // (panel[c * 16 + lane] = row `i + lane`, feature c) so GemmPanelKernel
   // can run 16 independent accumulator chains in SIMD lanes. Bit-identity
   // constrains each chain's order, not the chains' interleaving, so the
-  // lanes are legal; the remainder rows fall through to the blocks below.
+  // lanes are legal. A short last panel is padded with zero rows whose
+  // outputs land in a discard row, so every row takes the SIMD kernel.
   constexpr int kLanes = 16;
   static thread_local std::vector<double> panel;
-  if (x.rows >= kLanes) {
-    panel.resize(static_cast<size_t>(kLanes) * static_cast<size_t>(in));
-    double* pd = panel.data();
-    for (; i + kLanes <= x.rows; i += kLanes) {
-      double* y_rows[kLanes];
-      for (int lane = 0; lane < kLanes; ++lane) {
-        const double* xr = x.Row(i + lane);
-        for (int c = 0; c < in; ++c) {
-          pd[static_cast<size_t>(c) * kLanes + static_cast<size_t>(lane)] =
-              xr[c];
-        }
-        y_rows[lane] = y->Row(i + lane);
+  static thread_local std::vector<double> discard;
+  panel.resize(static_cast<size_t>(kLanes) * static_cast<size_t>(in));
+  discard.resize(static_cast<size_t>(out));
+  double* pd = panel.data();
+  for (; i < x.rows; i += kLanes) {
+    double* y_rows[kLanes];
+    for (int lane = 0; lane < kLanes; ++lane) {
+      const bool valid = i + lane < x.rows;
+      const double* xr = valid ? x.Row(i + lane) : nullptr;
+      for (int c = 0; c < in; ++c) {
+        pd[static_cast<size_t>(c) * kLanes + static_cast<size_t>(lane)] =
+            valid ? xr[c] : 0.0;
       }
-      GemmPanelKernel(pd, w, b, in, out, y_rows);
+      y_rows[lane] = valid ? y->Row(i + lane) : discard.data();
     }
+    GemmPanelKernel(pd, w, b, in, out, y_rows);
   }
 #endif
-  for (; i + 4 <= x.rows; i += 4) {
-    const double* x0 = x.Row(i);
-    const double* x1 = x.Row(i + 1);
-    const double* x2 = x.Row(i + 2);
-    const double* x3 = x.Row(i + 3);
-    double* y0 = y->Row(i);
-    double* y1 = y->Row(i + 1);
-    double* y2 = y->Row(i + 2);
-    double* y3 = y->Row(i + 3);
-    for (int r = 0; r < out; ++r) {
-      const double* wr = w + static_cast<size_t>(r) * static_cast<size_t>(in);
-      double a0 = b[r], a1 = b[r], a2 = b[r], a3 = b[r];
-      for (int c = 0; c < in; ++c) {
-        const double wv = wr[c];
-        a0 += wv * x0[c];
-        a1 += wv * x1[c];
-        a2 += wv * x2[c];
-        a3 += wv * x3[c];
-      }
-      y0[r] = a0;
-      y1[r] = a1;
-      y2[r] = a2;
-      y3[r] = a3;
-    }
-  }
   for (; i < x.rows; ++i) {
     const double* xr = x.Row(i);
     double* yr = y->Row(i);
@@ -160,19 +232,44 @@ void Linear::ForwardBatch(const Mat& x, Mat* y) const {
 }
 
 void Linear::BackwardInto(const Vec& x, const Vec& dy, Vec* dx) {
+  AccumulateParamGrad(x.data(), dy.data());
+  AccumulateInputGrad(dy.data(), dx->data());
+}
+
+void Linear::AccumulateParamGrad(const double* x, const double* dy) {
+  const size_t in = static_cast<size_t>(weight_.cols);
   for (int r = 0; r < weight_.rows; ++r) {
-    const double g = dy[static_cast<size_t>(r)];
+    const double g = dy[r];
     if (g == 0.0) continue;
-    double* gw = &weight_.grad[static_cast<size_t>(r) *
-                               static_cast<size_t>(weight_.cols)];
-    const double* wr = &weight_.value[static_cast<size_t>(r) *
-                                      static_cast<size_t>(weight_.cols)];
-    for (int c = 0; c < weight_.cols; ++c) {
-      gw[c] += g * x[static_cast<size_t>(c)];
-      (*dx)[static_cast<size_t>(c)] += g * wr[c];
-    }
+    AddScaledTerms(&weight_.grad[static_cast<size_t>(r) * in], &x, &g, 1,
+                   weight_.cols);
     bias_.grad[static_cast<size_t>(r)] += g;
   }
+}
+
+void Linear::AccumulateInputGrad(const double* dy, double* dx) const {
+  const size_t in = static_cast<size_t>(weight_.cols);
+  ScaledRowSum sum(dx, weight_.cols);
+  for (int r = 0; r < weight_.rows; ++r) {
+    sum.Add(dy[r], &weight_.value[static_cast<size_t>(r) * in]);
+  }
+}
+
+void Linear::BackwardBatch(const Mat& x, const Mat& dy, Mat* dx) {
+  FGRO_CHECK(x.cols == weight_.cols && dy.cols == weight_.rows &&
+             x.rows == dy.rows);
+  const size_t in = static_cast<size_t>(weight_.cols);
+  // Weight row r gathers the nonzero dy[i][r] x_i terms in ascending i —
+  // row-by-row BackwardInto's order — in one pass over the row.
+  for (int r = 0; r < weight_.rows; ++r) {
+    ScaledRowSum sum(&weight_.grad[static_cast<size_t>(r) * in],
+                     weight_.cols, &bias_.grad[static_cast<size_t>(r)]);
+    for (int i = 0; i < x.rows; ++i) sum.Add(dy.Row(i)[r], x.Row(i));
+  }
+  if (dx == nullptr) return;
+  dx->Resize(x.rows, weight_.cols);
+  std::fill(dx->data.begin(), dx->data.end(), 0.0);
+  for (int i = 0; i < x.rows; ++i) AccumulateInputGrad(dy.Row(i), dx->Row(i));
 }
 
 Vec Linear::Backward(const Vec& x, const Vec& dy) {

@@ -32,6 +32,16 @@ class Linear {
   Vec Backward(const Vec& x, const Vec& dy);
   /// Accumulates into an existing dx instead of allocating (hot paths).
   void BackwardInto(const Vec& x, const Vec& dy, Vec* dx);
+  /// Batched backward over the rows of `x` (the ForwardBatch input) and
+  /// `dy`: accumulates dW and db row by row in ascending order — each
+  /// gradient element sees the same sequence of additions as BackwardInto
+  /// called row by row — and, when `dx` is non-null, writes dx = dy W with
+  /// every row starting from zero (resized, capacity reused).
+  void BackwardBatch(const Mat& x, const Mat& dy, Mat* dx);
+  /// The input-gradient half of BackwardInto for one row: adds dy W onto
+  /// `dx` (in_dim doubles) in BackwardInto's order. For callers that must
+  /// add onto a row already holding other paths' contributions.
+  void AccumulateInputGrad(const double* dy, double* dx) const;
 
   void AppendParams(std::vector<Param*>* out) {
     out->push_back(&weight_);
@@ -42,6 +52,9 @@ class Linear {
   int out_dim() const { return weight_.rows; }
 
  private:
+  /// The dW/db half of BackwardInto for one row.
+  void AccumulateParamGrad(const double* x, const double* dy);
+
   Param weight_;  // out x in
   Param bias_;    // out x 1
 };

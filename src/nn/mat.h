@@ -34,6 +34,14 @@ inline void ReluInPlace(Mat* m) {
   for (double& v : m->data) v = v > 0.0 ? v : 0.0;
 }
 
+/// In-place ReLU backward: dy[i] = y[i] > 0 ? dy[i] : 0, where `y` is the
+/// post-activation matrix of the same shape (ReluBackward, batched).
+inline void ReluBackwardInPlace(const Mat& y, Mat* dy) {
+  for (size_t i = 0; i < dy->data.size(); ++i) {
+    if (!(y.data[i] > 0.0)) dy->data[i] = 0.0;
+  }
+}
+
 }  // namespace fgro
 
 #endif  // FGRO_NN_MAT_H_

@@ -59,6 +59,32 @@ const Mat& Mlp::ForwardBatch(const Mat& x, MlpScratch* scratch) const {
   return *in;
 }
 
+const Mat& Mlp::ForwardBatch(const Mat& x, MlpBatchCache* cache) const {
+  FGRO_CHECK(!layers_.empty());
+  cache->input = &x;
+  cache->out.resize(layers_.size());
+  const Mat* in = &x;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    layers_[l].ForwardBatch(*in, &cache->out[l]);
+    if (l + 1 < layers_.size()) ReluInPlace(&cache->out[l]);
+    in = &cache->out[l];
+  }
+  return *in;
+}
+
+void Mlp::BackwardBatch(MlpBatchCache* cache, const Mat& dout, Mat* dx) {
+  const Mat* grad = &dout;
+  for (size_t l = layers_.size(); l-- > 0;) {
+    Mat* next = l == 0 ? dx
+                       : (grad == &cache->grad_a ? &cache->grad_b
+                                                 : &cache->grad_a);
+    layers_[l].BackwardBatch(l == 0 ? *cache->input : cache->out[l - 1],
+                             *grad, next);
+    if (l > 0) ReluBackwardInPlace(cache->out[l - 1], next);
+    grad = next;
+  }
+}
+
 Vec Mlp::Backward(const MlpCache& cache, const Vec& dout) {
   Vec grad = dout;
   for (size_t l = layers_.size(); l-- > 0;) {

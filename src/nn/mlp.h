@@ -22,6 +22,17 @@ struct MlpScratch {
   Mat b;
 };
 
+/// Caller-owned state of one batched training step: the forward keeps each
+/// layer's output (post-activation, last layer raw) for BackwardBatch, which
+/// ping-pongs its row gradients through `grad_a`/`grad_b`. Reusing one cache
+/// across minibatches makes the step allocation-free once warm.
+struct MlpBatchCache {
+  const Mat* input = nullptr;  // the forward's `x`
+  std::vector<Mat> out;        // one per layer
+  Mat grad_a;
+  Mat grad_b;
+};
+
 /// Caller-owned scratch for the single-row inference path (same ping-pong,
 /// vector-sized).
 struct MlpVecScratch {
@@ -53,8 +64,17 @@ class Mlp {
   /// bit-identical to Forward(row i). No allocation once scratch is warm.
   const Mat& ForwardBatch(const Mat& x, MlpScratch* scratch) const;
 
+  /// Batched training forward: ForwardBatch that keeps every layer's output
+  /// in `cache` for BackwardBatch. `x` must stay alive until then.
+  const Mat& ForwardBatch(const Mat& x, MlpBatchCache* cache) const;
+
   /// Accumulates parameter gradients; returns dL/dx.
   Vec Backward(const MlpCache& cache, const Vec& dout);
+  /// Batched Backward over the rows of the last ForwardBatch(x, cache):
+  /// every layer's dW/db accumulate row by row in ascending order, so a
+  /// minibatch leaves the gradients bit-identical to Backward called sample
+  /// by sample. Writes dL/dx (one row per sample, each from zero) to `dx`.
+  void BackwardBatch(MlpBatchCache* cache, const Mat& dout, Mat* dx);
 
   void AppendParams(std::vector<Param*>* out);
 

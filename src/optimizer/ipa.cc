@@ -12,11 +12,51 @@
 
 namespace fgro {
 
+namespace {
+
+/// Rows per EmbedBatch call in EmbedInstances: large enough to fill the
+/// 16-row GEMM panels with a few plan graphs' nodes, small enough that a
+/// wide stage still fans across the worker pool.
+constexpr int kEmbedChunk = 32;
+
+}  // namespace
+
+bool EmbedInstances(const SchedulingContext& context,
+                    const std::vector<int>& instance_ids,
+                    std::vector<LatencyModel::EmbeddedInstance>* out) {
+  const int m = static_cast<int>(instance_ids.size());
+  out->resize(static_cast<size_t>(m));
+  // Each chunk's slots are written by exactly one body and read only after
+  // the fan completes.
+  const int chunks = (m + kEmbedChunk - 1) / kEmbedChunk;
+  std::atomic<bool> failed{false};
+  ParallelFor(context.worker_pool, chunks, [&](int chunk) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    if (context.deadline.expired()) {
+      failed.store(true, std::memory_order_relaxed);
+      return;
+    }
+    const int begin = chunk * kEmbedChunk;
+    const int end = std::min(m, begin + kEmbedChunk);
+    Result<std::vector<LatencyModel::EmbeddedInstance>> batch =
+        context.model->EmbedBatch(
+            *context.stage,
+            std::vector<int>(instance_ids.begin() + begin,
+                             instance_ids.begin() + end));
+    if (!batch.ok()) {
+      failed.store(true, std::memory_order_relaxed);
+      return;
+    }
+    std::move(batch.value().begin(), batch.value().end(),
+              out->begin() + begin);
+  });
+  return !failed.load();
+}
+
 bool BuildBplMatrix(const SchedulingContext& context,
                     const std::vector<int>& instance_rows,
                     const std::vector<int>& machine_cols,
                     std::vector<std::vector<double>>* L) {
-  const Stage& stage = *context.stage;
   const Cluster& cluster = *context.cluster;
   const LatencyModel& model = *context.model;
   const int m = static_cast<int>(instance_rows.size());
@@ -24,32 +64,9 @@ bool BuildBplMatrix(const SchedulingContext& context,
   L->assign(static_cast<size_t>(m),
             std::vector<double>(static_cast<size_t>(n)));
 
-  // Embed every row first — the per-instance GNN/TLSTM pass dominates and
-  // rows are independent, so it fans across the worker pool; each slot is
-  // written by exactly one body and read only after the fan completes,
-  // which keeps the result byte-identical at any thread count.
-  std::vector<LatencyModel::EmbeddedInstance> embedded(
-      static_cast<size_t>(m));
-  std::atomic<bool> failed{false};
-  std::atomic<bool> expired{false};
-  ParallelFor(context.worker_pool, m, [&](int i) {
-    if (failed.load(std::memory_order_relaxed) ||
-        expired.load(std::memory_order_relaxed)) {
-      return;
-    }
-    if (context.deadline.expired()) {
-      expired.store(true, std::memory_order_relaxed);
-      return;
-    }
-    Result<LatencyModel::EmbeddedInstance> r =
-        model.Embed(stage, instance_rows[static_cast<size_t>(i)]);
-    if (!r.ok()) {
-      failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    embedded[static_cast<size_t>(i)] = r.value();
-  });
-  if (failed.load() || expired.load()) return false;
+  // Embed every row first: the plan-graph pass is the per-row cost.
+  std::vector<LatencyModel::EmbeddedInstance> embedded;
+  if (!EmbedInstances(context, instance_rows, &embedded)) return false;
 
   // The whole matrix as one flat batch: PredictBatch chunks internally, so
   // this never materializes m*n feature rows at once.

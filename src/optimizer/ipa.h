@@ -21,12 +21,22 @@ StageDecision IpaSchedule(const SchedulingContext& context);
 std::vector<int> IpaGreedyMatch(const std::vector<std::vector<double>>& L,
                                 std::vector<int> capacity);
 
+/// Embeds the instances `instance_ids` of context.stage into (*out)[k]: one
+/// LatencyModel::EmbedBatch per chunk of rows, the chunks fanned across
+/// context.worker_pool when set. A row's embedding does not depend on its
+/// chunk, so the result is byte-identical at any thread count. Returns
+/// false when the deadline expired or an embedding failed, in which case
+/// *out is unspecified. Shared by IPA, RAA and sharded refinement.
+bool EmbedInstances(const SchedulingContext& context,
+                    const std::vector<int>& instance_ids,
+                    std::vector<LatencyModel::EmbeddedInstance>* out);
+
 /// Shared by IPA and its clustered variant: fills (*L)[i][j] with the
 /// predicted latency of stage instance instance_rows[i] on machine
-/// machine_cols[j] (a cluster machine id) under theta0. Each row is
-/// embedded once — fanning across context.worker_pool when set — and the
-/// whole matrix becomes one PredictBatch call (chunked internally, memoized
-/// via context.memo), bit-identical to per-cell PredictFromEmbedding calls.
+/// machine_cols[j] (a cluster machine id) under theta0. The rows are
+/// embedded together (EmbedInstances) and the whole matrix becomes one
+/// PredictBatch call (chunked internally, memoized via context.memo),
+/// bit-identical to per-cell PredictFromEmbedding calls.
 /// Returns false when the deadline expired or an embedding failed, in
 /// which case *L is unspecified.
 bool BuildBplMatrix(const SchedulingContext& context,

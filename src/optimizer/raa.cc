@@ -19,6 +19,7 @@
 #include "moo/progressive_frontier.h"
 #include "moo/wun.h"
 #include "optimizer/frontier_cache.h"
+#include "optimizer/ipa.h"
 #include "optimizer/raa_general.h"
 
 namespace fgro {
@@ -373,6 +374,35 @@ RaaResult RunRaa(const SchedulingContext& context,
                                 context.memo);
   };
 
+  // Embed, in one call before the fan, every instance it may need: each
+  // owner group's representative and, under compression, its cluster's
+  // canonical representative (a template build needs it on a miss).
+  std::vector<int> embed_slot(static_cast<size_t>(m), -1);
+  std::vector<int> embed_ids;
+  auto want = [&](int instance) {
+    int& slot = embed_slot[static_cast<size_t>(instance)];
+    if (slot >= 0) return;
+    slot = static_cast<int>(embed_ids.size());
+    embed_ids.push_back(instance);
+  };
+  for (int gi = 0; gi < ng; ++gi) {
+    if (prep[static_cast<size_t>(gi)].owner != gi) continue;
+    want(groups[static_cast<size_t>(gi)].representative);
+    if (cache != nullptr) want(prep[static_cast<size_t>(gi)].canonical);
+  }
+  std::vector<LatencyModel::EmbeddedInstance> embedded;
+  if (!EmbedInstances(context, embed_ids, &embedded)) {
+    if (context.deadline.expired()) {
+      result.solve_seconds = timer.ElapsedSeconds();
+    }
+    return result;
+  }
+  auto embedding_of =
+      [&](int instance) -> const LatencyModel::EmbeddedInstance& {
+    return embedded[static_cast<size_t>(
+        embed_slot[static_cast<size_t>(instance)])];
+  };
+
   auto compute_group = [&](int gi) {
     GroupFrontier& slot = slots[static_cast<size_t>(gi)];
     // Best-effort early-out: once any group aborted, the whole RAA attempt
@@ -394,15 +424,9 @@ RaaResult RunRaa(const SchedulingContext& context,
       // Uncompressed per-group solve: the bit-identical legacy oracle
       // (modulo the theta0-in-grid dedup, which reuses the identical grid
       // value instead of predicting it twice).
-      Result<LatencyModel::EmbeddedInstance> embedded =
-          context.model->Embed(stage, group.representative);
-      if (!embedded.ok()) {
-        any_abort.store(true, std::memory_order_relaxed);
-        return;
-      }
       std::vector<double> lats;
-      predict_thetas(embedded.value(), machine, grid, gp.theta0_index,
-                     &lats);
+      predict_thetas(embedding_of(group.representative), machine, grid,
+                     gp.theta0_index, &lats);
       slot.frontier = solver.SolveExhaustive(lats.data(), grid);
       slot.lat0 = gp.theta0_index >= 0
                       ? lats[static_cast<size_t>(gp.theta0_index)]
@@ -415,15 +439,9 @@ RaaResult RunRaa(const SchedulingContext& context,
         if (c_hits != nullptr) c_hits->Increment();
       } else {
         if (c_misses != nullptr) c_misses->Increment();
-        Result<LatencyModel::EmbeddedInstance> canonical_embedded =
-            context.model->Embed(stage, gp.canonical);
-        if (!canonical_embedded.ok()) {
-          any_abort.store(true, std::memory_order_relaxed);
-          return;
-        }
         auto entry = std::make_shared<FrontierEntry>();
         entry->grid = grid;
-        predict_thetas(canonical_embedded.value(), machine, grid,
+        predict_thetas(embedding_of(gp.canonical), machine, grid,
                        gp.theta0_index, &entry->latencies);
         entry->lat0 =
             gp.theta0_index >= 0
@@ -470,14 +488,9 @@ RaaResult RunRaa(const SchedulingContext& context,
             break;
           }
         }
-        Result<LatencyModel::EmbeddedInstance> embedded =
-            context.model->Embed(stage, group.representative);
-        if (!embedded.ok()) {
-          any_abort.store(true, std::memory_order_relaxed);
-          return;
-        }
         std::vector<double> lats;
-        predict_thetas(embedded.value(), machine, picked, theta0_at, &lats);
+        predict_thetas(embedding_of(group.representative), machine, picked,
+                       theta0_at, &lats);
         slot.frontier = solver.SolveExhaustive(lats.data(), picked);
         slot.lat0 = theta0_at >= 0 ? lats[static_cast<size_t>(theta0_at)]
                                    : lats.back();

@@ -1,7 +1,6 @@
 #include "optimizer/sharding.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "hbo/hbo.h"
 #include "moo/config_space.h"
+#include "optimizer/ipa.h"
 
 namespace fgro {
 namespace {
@@ -186,22 +186,12 @@ int RefineMergedDecision(const SchedulingContext& context,
     if (id >= 0) used[static_cast<size_t>(id)]++;
   }
 
-  // Embed once per instance (fanned across the pool like BuildBplMatrix),
-  // then one batched sweep for every instance's latency under its current
-  // placement.
-  std::vector<LatencyModel::EmbeddedInstance> embedded(
-      static_cast<size_t>(m));
-  std::atomic<bool> failed{false};
-  ParallelFor(context.worker_pool, m, [&](int i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    Result<LatencyModel::EmbeddedInstance> r = model.Embed(stage, i);
-    if (!r.ok()) {
-      failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    embedded[static_cast<size_t>(i)] = r.value();
-  });
-  if (failed.load()) return 0;
+  // Embed every instance together (EmbedInstances), then one batched sweep
+  // for every instance's latency under its current placement.
+  std::vector<int> all(static_cast<size_t>(m));
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<LatencyModel::EmbeddedInstance> embedded;
+  if (!EmbedInstances(context, all, &embedded)) return 0;
 
   LatencyModel::BatchScratch scratch;
   std::vector<double> current(static_cast<size_t>(m));

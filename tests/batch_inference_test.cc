@@ -295,6 +295,53 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (int v : serial) EXPECT_EQ(v, 1);
 }
 
+TEST(EmbedBatchTest, MatchesPerInstanceEmbedAcrossModelKinds) {
+  Result<Workload> workload = SmallWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Stage* stage = &workload->jobs[0].stages[0];
+  for (const Job& job : workload->jobs) {
+    for (const Stage& s : job.stages) {
+      if (s.instance_count() > stage->instance_count()) stage = &s;
+    }
+  }
+  // Reversed, with a repeat: a row's embedding must not depend on where in
+  // the batch it sits or on which other graphs share it.
+  std::vector<int> ids;
+  for (int i = stage->instance_count(); i-- > 0;) ids.push_back(i);
+  ids.push_back(0);
+  const ModelKind kinds[] = {ModelKind::kMciGtn, ModelKind::kMciTlstm,
+                             ModelKind::kMciQppnet};
+  for (ModelKind kind : kinds) {
+    LatencyModel::Options options;
+    options.kind = kind;
+    LatencyModel model(options);
+    Result<std::vector<LatencyModel::EmbeddedInstance>> batch =
+        model.EmbedBatch(*stage, ids);
+    ASSERT_TRUE(batch.ok()) << ModelKindName(kind);
+    ASSERT_EQ(batch->size(), ids.size());
+    for (size_t k = 0; k < ids.size(); ++k) {
+      Result<LatencyModel::EmbeddedInstance> one = model.Embed(*stage, ids[k]);
+      ASSERT_TRUE(one.ok());
+      const LatencyModel::EmbeddedInstance& e = (*batch)[k];
+      EXPECT_EQ(e.stage, stage);
+      EXPECT_EQ(e.instance_idx, ids[k]);
+      ASSERT_EQ(e.plan_embedding.size(), one->plan_embedding.size());
+      for (size_t d = 0; d < e.plan_embedding.size(); ++d) {
+        ExpectBitIdentical(e.plan_embedding[d], one->plan_embedding[d],
+                           ModelKindName(kind));
+      }
+      ASSERT_EQ(e.ch2_features.size(), one->ch2_features.size());
+      for (size_t d = 0; d < e.ch2_features.size(); ++d) {
+        ExpectBitIdentical(e.ch2_features[d], one->ch2_features[d],
+                           ModelKindName(kind));
+      }
+    }
+  }
+  // One invalid instance fails the whole batch.
+  LatencyModel gtn(LatencyModel::Options{});
+  EXPECT_FALSE(gtn.EmbedBatch(*stage, {0, stage->instance_count()}).ok());
+}
+
 // Test-only scalar reference for BuildBplMatrix: one Embed per row and one
 // PredictFromEmbedding per cell, in row-major order. The bit-identity
 // oracle for the batched matrix build.

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "model/gpr.h"
 #include "model/latency_model.h"
@@ -163,6 +166,49 @@ TEST_F(TrainedModelFixture, FineTuneRequiresTraining) {
             StatusCode::kFailedPrecondition);
 }
 
+// A batch size below one used to spin forever (the minibatch cursor never
+// advanced); a negative sample cap used to resize the subsample to
+// size_t(-1). Both are caller errors now.
+TEST_F(TrainedModelFixture, TrainRejectsBatchSizeBelowOne) {
+  LatencyModel fresh(LatencyModel::Options{});
+  TrainOptions train;
+  train.batch_size = 0;
+  EXPECT_EQ(fresh
+                .Train(env_->dataset(), env_->split().train, {}, train)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(fresh.trained());
+}
+
+TEST_F(TrainedModelFixture, TrainRejectsNegativeSampleCap) {
+  LatencyModel fresh(LatencyModel::Options{});
+  TrainOptions train;
+  train.max_train_samples = -1;
+  EXPECT_EQ(fresh
+                .Train(env_->dataset(), env_->split().train, {}, train)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(fresh.trained());
+}
+
+TEST_F(TrainedModelFixture, FineTuneRejectsBatchSizeBelowOne) {
+  LatencyModel copy = env_->model();
+  TrainOptions tune;
+  tune.batch_size = -3;
+  EXPECT_EQ(copy.FineTune(env_->dataset(), env_->split().val, tune).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(copy.params_tag(), env_->model().params_tag());
+}
+
+TEST_F(TrainedModelFixture, FineTuneRejectsNegativeSampleCap) {
+  LatencyModel copy = env_->model();
+  TrainOptions tune;
+  tune.max_train_samples = -1;
+  EXPECT_EQ(copy.FineTune(env_->dataset(), env_->split().val, tune).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(copy.params_tag(), env_->model().params_tag());
+}
+
 TEST_F(TrainedModelFixture, FineTuneImprovesOnNewData) {
   // Fine-tuning on the validation slice should not blow up the error there.
   LatencyModel* model = env_->mutable_model();
@@ -243,6 +289,88 @@ TEST(ModelTargetsTest, ActTargetTrainsOnCpuSeconds) {
                    .actual_latency;
   }
   EXPECT_LT(pred_sum, lat_sum);
+}
+
+/// FNV-1a 64 over a model's Save() snapshot (checksum footer included):
+/// covers the architecture header, both standardizers and every weight at
+/// "%.17g", so equal hashes mean bit-identical parameters.
+uint64_t SnapshotHash(const LatencyModel& model, const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(model.Save(path).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return 0;
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  std::fclose(f);
+  return h;
+}
+
+// Pins the trained and fine-tuned GTN weights themselves (the golden replay
+// hashes pin only the decisions they lead to). 790 samples at batch 32 and
+// the fine-tune at batch 12 both end on a short minibatch.
+TEST(GtnWeightsGoldenTest, TrainAndFineTuneMatchPinnedHash) {
+  ExperimentEnv::Options options;
+  options.workload = WorkloadId::kA;
+  options.scale = 0.03;
+  options.train.epochs = 2;
+  options.train.max_train_samples = 790;
+  Result<std::unique_ptr<ExperimentEnv>> env = ExperimentEnv::Build(options);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  LatencyModel* model = (*env)->mutable_model();
+  const uint64_t trained = SnapshotHash(*model, "fgro_golden_trained.txt");
+  EXPECT_EQ(trained, 0x0e5e67f3c70ae7d6ULL)
+      << "trained hash is 0x" << std::hex << trained;
+
+  TrainOptions tune;
+  tune.epochs = 2;
+  tune.batch_size = 12;
+  tune.lr = 5e-4;
+  tune.lr_decay = 1.0;
+  tune.seed = 29;
+  ASSERT_TRUE(
+      model->FineTune((*env)->dataset(), (*env)->split().val, tune).ok());
+  const uint64_t tuned = SnapshotHash(*model, "fgro_golden_tuned.txt");
+  EXPECT_EQ(tuned, 0x41fed15cc3af4705ULL)
+      << "fine-tuned hash is 0x" << std::hex << tuned;
+}
+
+// The tree and unit kinds train one sample at a time; pin their weights
+// too, so the shared training loop cannot drift them.
+TEST(ModelWeightsGoldenTest, TreeAndUnitKindsMatchPinnedHash) {
+  ExperimentEnv::Options options;
+  options.workload = WorkloadId::kA;
+  options.scale = 0.03;
+  options.train_model = false;
+  Result<std::unique_ptr<ExperimentEnv>> env = ExperimentEnv::Build(options);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  const struct {
+    ModelKind kind;
+    uint64_t hash;
+  } cases[] = {{ModelKind::kMciTlstm, 0x09a7a26822313911ULL},
+               {ModelKind::kMciQppnet, 0x0db58957b1bf1834ULL},
+               {ModelKind::kTlstmOriginal, 0x954ef571e6cff69eULL},
+               {ModelKind::kQppnetOriginal, 0xd870f3614b2c0beaULL}};
+  for (const auto& c : cases) {
+    LatencyModel::Options mo;
+    mo.kind = c.kind;
+    mo.featurizer = Featurizer(ChannelMask{}, 10);
+    LatencyModel model(mo);
+    TrainOptions train;
+    train.epochs = 1;
+    train.max_train_samples = 300;
+    train.batch_size = 16;
+    ASSERT_TRUE(model
+                    .Train((*env)->dataset(), (*env)->split().train, {},
+                           train)
+                    .ok());
+    const uint64_t h = SnapshotHash(model, "fgro_golden_kind.txt");
+    EXPECT_EQ(h, c.hash) << ModelKindName(c.kind) << " hash is 0x"
+                         << std::hex << h;
+  }
 }
 
 TEST(GprTest, FitRequiresData) {

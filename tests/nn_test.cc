@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
+#include <tuple>
 
 #include "nn/adam.h"
 #include "nn/graph_embedder.h"
@@ -9,6 +12,7 @@
 #include "nn/mlp.h"
 #include "nn/qppnet.h"
 #include "nn/tree_lstm.h"
+#include "scalar_graph_embedder.h"
 
 namespace fgro {
 namespace {
@@ -115,22 +119,62 @@ TEST(LinearTest, ForwardBatchMatchesForwardPerRow) {
   Rng rng(21);
   Linear layer(5, 3, &rng);
   Rng data_rng(22);
-  // 10 rows: two full 4-row GEMM blocks plus a 2-row tail.
-  Mat x;
-  x.Resize(10, 5);
+  // Full 16-row panels, padded short panels, and a single row; an odd
+  // output width leaves the kernel's two-row interleave a remainder row.
+  for (int rows : {1, 10, 15, 16, 17, 33}) {
+    Mat x;
+    x.Resize(rows, 5);
+    for (double& v : x.data) v = data_rng.Normal();
+    Mat y;
+    layer.ForwardBatch(x, &y);
+    ASSERT_EQ(y.rows, rows);
+    ASSERT_EQ(y.cols, 3);
+    for (int r = 0; r < x.rows; ++r) {
+      Vec row(x.Row(r), x.Row(r) + x.cols);
+      Vec expected = layer.Forward(row);
+      for (int c = 0; c < y.cols; ++c) {
+        // Exact: the panel kernel keeps each output element's
+        // accumulation order identical to the scalar path.
+        EXPECT_EQ(y.Row(r)[c], expected[static_cast<size_t>(c)])
+            << rows << " rows: row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+TEST(LinearTest, BackwardBatchMatchesBackwardIntoPerRowBitwise) {
+  // 70 rows overflow the 64-term flush of the gradient accumulator; about
+  // a third of dy is zero, as after a ReLU.
+  Rng rng(23);
+  Linear batched(19, 5, &rng);
+  Linear scalar = batched;
+  Rng data_rng(24);
+  Mat x, dy;
+  x.Resize(70, 19);
+  dy.Resize(70, 5);
   for (double& v : x.data) v = data_rng.Normal();
-  Mat y;
-  layer.ForwardBatch(x, &y);
-  ASSERT_EQ(y.rows, 10);
-  ASSERT_EQ(y.cols, 3);
+  for (double& v : dy.data) {
+    v = data_rng.Uniform(0.0, 1.0) < 0.35 ? 0.0 : data_rng.Normal();
+  }
+  Mat dx;
+  batched.BackwardBatch(x, dy, &dx);
+  ASSERT_EQ(dx.rows, 70);
+  ASSERT_EQ(dx.cols, 19);
   for (int r = 0; r < x.rows; ++r) {
-    Vec row(x.Row(r), x.Row(r) + x.cols);
-    Vec expected = layer.Forward(row);
-    for (int c = 0; c < y.cols; ++c) {
-      // Exact: the blocked GEMM keeps each output element's accumulation
-      // order identical to the scalar path.
-      EXPECT_EQ(y.Row(r)[c], expected[static_cast<size_t>(c)])
+    Vec dxr(19, 0.0);
+    scalar.BackwardInto(Vec(x.Row(r), x.Row(r) + x.cols),
+                        Vec(dy.Row(r), dy.Row(r) + dy.cols), &dxr);
+    for (int c = 0; c < dx.cols; ++c) {
+      EXPECT_EQ(dx.Row(r)[c], dxr[static_cast<size_t>(c)])
           << "row " << r << " col " << c;
+    }
+  }
+  std::vector<Param*> pb, ps;
+  batched.AppendParams(&pb);
+  scalar.AppendParams(&ps);
+  for (size_t p = 0; p < pb.size(); ++p) {
+    for (size_t i = 0; i < pb[p]->grad.size(); ++i) {
+      EXPECT_EQ(pb[p]->grad[i], ps[p]->grad[i]) << "param " << p << " " << i;
     }
   }
 }
@@ -197,13 +241,18 @@ PlanGraph MakeDiamondGraph(int feat_dim) {
   return g;
 }
 
+/// Embeds one graph as a batch of one.
+Vec EmbedOne(const GraphEmbedder& gnn, const PlanGraph& g) {
+  GraphEmbedder::BatchCache cache;
+  return gnn.ForwardBatch({&g}, &cache).data;
+}
+
 TEST(GraphEmbedderTest, OutputDimAndDeterminism) {
   Rng rng(6);
   GraphEmbedder gnn(4, 6, 2, &rng);
   PlanGraph g = MakeDiamondGraph(4);
-  GraphEmbedder::Cache c1, c2;
-  Vec e1 = gnn.Forward(g, &c1);
-  Vec e2 = gnn.Forward(g, &c2);
+  Vec e1 = EmbedOne(gnn, g);
+  Vec e2 = EmbedOne(gnn, g);
   ASSERT_EQ(e1.size(), 6u);
   for (size_t i = 0; i < e1.size(); ++i) EXPECT_DOUBLE_EQ(e1[i], e2[i]);
 }
@@ -214,9 +263,8 @@ TEST(GraphEmbedderTest, SensitiveToStructure) {
   PlanGraph diamond = MakeDiamondGraph(4);
   PlanGraph chain = diamond;
   chain.children = {{}, {0}, {1}, {2}};
-  GraphEmbedder::Cache c1, c2;
-  Vec e1 = gnn.Forward(diamond, &c1);
-  Vec e2 = gnn.Forward(chain, &c2);
+  Vec e1 = EmbedOne(gnn, diamond);
+  Vec e2 = EmbedOne(gnn, chain);
   double diff = 0.0;
   for (size_t i = 0; i < e1.size(); ++i) diff += std::abs(e1[i] - e2[i]);
   EXPECT_GT(diff, 1e-6);
@@ -226,25 +274,167 @@ TEST(GraphEmbedderTest, GradientsMatchFiniteDifference) {
   Rng rng(8);
   GraphEmbedder gnn(4, 5, 2, &rng);
   Mlp head({5, 1}, &rng);
-  PlanGraph g = MakeDiamondGraph(4);
+  PlanGraph diamond = MakeDiamondGraph(4);
+  PlanGraph chain = diamond;
+  chain.children = {{}, {0}, {1}, {2}};
+  const std::vector<const PlanGraph*> graphs = {&diamond, &chain};
   std::vector<Param*> params;
   gnn.AppendParams(&params);
   head.AppendParams(&params);
+  // Summed over a batch of two graphs, so the backward crosses graphs.
   auto loss = [&]() {
-    GraphEmbedder::Cache cache;
-    double y = head.Forward(gnn.Forward(g, &cache))[0];
-    return 0.5 * (y - 1.0) * (y - 1.0);
+    GraphEmbedder::BatchCache cache;
+    MlpScratch scratch;
+    const Mat& y = head.ForwardBatch(gnn.ForwardBatch(graphs, &cache),
+                                     &scratch);
+    double total = 0.0;
+    for (int g = 0; g < y.rows; ++g) {
+      total += 0.5 * (y.Row(g)[0] - 1.0) * (y.Row(g)[0] - 1.0);
+    }
+    return total;
   };
   auto backward = [&]() {
-    GraphEmbedder::Cache cache;
-    Vec emb = gnn.Forward(g, &cache);
-    MlpCache mc;
-    double y = head.Forward(emb, &mc)[0];
-    Vec demb = head.Backward(mc, {y - 1.0});
-    gnn.Backward(cache, demb);
+    GraphEmbedder::BatchCache cache;
+    MlpBatchCache head_cache;
+    const Mat& emb = gnn.ForwardBatch(graphs, &cache);
+    const Mat& y = head.ForwardBatch(emb, &head_cache);
+    Mat dy;
+    dy.Resize(y.rows, 1);
+    for (int g = 0; g < y.rows; ++g) dy.Row(g)[0] = y.Row(g)[0] - 1.0;
+    Mat demb;
+    head.BackwardBatch(&head_cache, dy, &demb);
+    gnn.BackwardBatch(demb, &cache);
   };
   CheckGradients(params, loss, backward, 1e-4);
 }
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Graph shapes for the bitwise checks: a single node, nodes with no
+/// children or parents, a multi-parent diamond, a chain, and a wide fan-in
+/// whose root averages many children.
+std::vector<PlanGraph> ReferenceGraphPool(int feat_dim) {
+  auto features = [feat_dim](int n, double seed) {
+    std::vector<Vec> rows(static_cast<size_t>(n),
+                          Vec(static_cast<size_t>(feat_dim)));
+    for (int i = 0; i < n; ++i) {
+      for (int k = 0; k < feat_dim; ++k) {
+        rows[static_cast<size_t>(i)][static_cast<size_t>(k)] =
+            std::sin(seed + 1.7 * i + 0.31 * k);
+      }
+    }
+    return rows;
+  };
+  std::vector<PlanGraph> pool(5);
+  pool[0].node_features = features(1, 0.2);
+  pool[0].children = {{}};
+  pool[1].node_features = features(3, 1.1);
+  pool[1].children = {{}, {}, {}};
+  pool[2] = MakeDiamondGraph(feat_dim);
+  pool[3].node_features = features(5, 2.3);
+  pool[3].children = {{}, {0}, {1}, {2}, {3}};
+  pool[4].node_features = features(7, 3.9);
+  pool[4].children = {{1, 2, 3, 4, 5, 6}, {}, {}, {3}, {}, {1}, {}};
+  for (PlanGraph& g : pool) g.node_types.assign(g.node_features.size(), 0);
+  return pool;
+}
+
+/// Batch sizes that cross the 16-row GEMM panel and its 4-row tail.
+class GraphEmbedderBatchTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+// Batched embeddings and one minibatch's gradients (GNN + MLP head, the
+// TrainStep shape) against the scalar reference, bit for bit. With
+// `single_node` every graph is one node, so the GNN's stacked rows equal
+// the batch size too.
+TEST_P(GraphEmbedderBatchTest, MatchesScalarReferenceBitwise) {
+  const auto [batch, single_node] = GetParam();
+  constexpr int kFeat = 6, kHidden = 8, kExtra = 3;
+  Rng rng(91);
+  GraphEmbedder gnn(kFeat, kHidden, 2, &rng);
+  Mlp head({kHidden + kExtra, 7, 5, 1}, &rng);
+  GraphEmbedder ref_gnn = gnn;
+  Mlp ref_head = head;
+  testing_util::ScalarGraphEmbedder scalar(&ref_gnn);
+
+  const std::vector<PlanGraph> pool = ReferenceGraphPool(kFeat);
+  std::vector<const PlanGraph*> graphs;
+  for (int g = 0; g < batch; ++g) {
+    graphs.push_back(single_node ? &pool[0]
+                                 : &pool[static_cast<size_t>(g * 3 % 5)]);
+  }
+  auto extra = [](int g, int k) { return std::cos(0.7 * g + 1.3 * k); };
+  auto target = [](int g) { return 0.25 * (g % 4); };
+
+  std::vector<Param*> params, ref_params;
+  gnn.AppendParams(&params);
+  head.AppendParams(&params);
+  ref_gnn.AppendParams(&ref_params);
+  ref_head.AppendParams(&ref_params);
+
+  // Reference: one sample at a time, in batch order.
+  std::vector<Vec> ref_emb;
+  for (int g = 0; g < batch; ++g) {
+    testing_util::ScalarGraphEmbedder::Cache cache;
+    Vec emb = scalar.Forward(*graphs[static_cast<size_t>(g)], &cache);
+    ref_emb.push_back(emb);
+    Vec input = emb;
+    for (int k = 0; k < kExtra; ++k) input.push_back(extra(g, k));
+    MlpCache mc;
+    const double y = ref_head.Forward(input, &mc)[0];
+    Vec dinput = ref_head.Backward(mc, {y - target(g)});
+    scalar.Backward(cache, Vec(dinput.begin(), dinput.begin() + kHidden));
+  }
+
+  // Batched: one forward and one backward for the whole minibatch.
+  GraphEmbedder::BatchCache cache;
+  const Mat& emb = gnn.ForwardBatch(graphs, &cache);
+  Mat input;
+  input.Resize(batch, kHidden + kExtra);
+  for (int g = 0; g < batch; ++g) {
+    for (int k = 0; k < kHidden; ++k) {
+      ASSERT_TRUE(SameBits(emb.Row(g)[k],
+                           ref_emb[static_cast<size_t>(g)]
+                                  [static_cast<size_t>(k)]))
+          << "graph " << g << " dim " << k;
+      input.Row(g)[k] = emb.Row(g)[k];
+    }
+    for (int k = 0; k < kExtra; ++k) input.Row(g)[kHidden + k] = extra(g, k);
+  }
+  MlpBatchCache head_cache;
+  const Mat& y = head.ForwardBatch(input, &head_cache);
+  Mat dy;
+  dy.Resize(batch, 1);
+  for (int g = 0; g < batch; ++g) dy.Row(g)[0] = y.Row(g)[0] - target(g);
+  Mat dinput;
+  head.BackwardBatch(&head_cache, dy, &dinput);
+  Mat demb;
+  demb.Resize(batch, kHidden);
+  for (int g = 0; g < batch; ++g) {
+    for (int k = 0; k < kHidden; ++k) demb.Row(g)[k] = dinput.Row(g)[k];
+  }
+  gnn.BackwardBatch(demb, &cache);
+
+  ASSERT_EQ(params.size(), ref_params.size());
+  for (size_t p = 0; p < params.size(); ++p) {
+    for (size_t i = 0; i < params[p]->grad.size(); ++i) {
+      ASSERT_TRUE(SameBits(params[p]->grad[i], ref_params[p]->grad[i]))
+          << "param " << p << " element " << i << ": "
+          << params[p]->grad[i] << " vs " << ref_params[p]->grad[i];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Batches, GraphEmbedderBatchTest,
+    ::testing::Combine(::testing::Values(1, 15, 16, 17, 33),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return "Batch" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "SingleNode" : "Mixed");
+    });
 
 PlanGraph MakeTree(int feat_dim) {
   // 0 <- 1, 0 <- 2, 2 <- 3 (root = 0)
