@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <map>
+#include <numeric>
 #include <string>
 
 #include "common/logging.h"
@@ -658,7 +661,7 @@ PredictionKey MakePredictionKey(const LatencyModel::EmbeddedInstance& embedded,
 
 }  // namespace
 
-void LatencyModel::PredictBatch(const std::vector<PredictionQuery>& queries,
+void LatencyModel::PredictBatch(std::span<const PredictionQuery> queries,
                                 double* out, BatchScratch* scratch,
                                 PredictionMemo* memo) const {
   const int n = static_cast<int>(queries.size());
@@ -670,19 +673,22 @@ void LatencyModel::PredictBatch(const std::vector<PredictionQuery>& queries,
   }
   const int dd = options_.featurizer.discretization_degree();
 
-  // Memo pass: resolve hits up front; only misses reach the forward pass.
+  // Memo pass: every key built once, hits resolved up front; only misses
+  // reach the forward pass, and they are inserted under the same keys.
   scratch->pending.clear();
-  scratch->pending.reserve(static_cast<size_t>(n));
   if (memo != nullptr) {
+    scratch->keys.resize(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
       const PredictionQuery& q = queries[i];
-      const PredictionKey key =
+      scratch->keys[static_cast<size_t>(i)] =
           MakePredictionKey(*q.embedded, q.candidate.theta, q.candidate.state,
                             q.candidate.hardware_type, dd, params_tag_);
-      if (!memo->Lookup(key, &out[i])) scratch->pending.push_back(i);
     }
+    scratch->pending.reserve(static_cast<size_t>(n));
+    memo->LookupBatch(scratch->keys, out, &scratch->pending);
   } else {
-    for (int i = 0; i < n; ++i) scratch->pending.push_back(i);
+    scratch->pending.resize(static_cast<size_t>(n));
+    std::iota(scratch->pending.begin(), scratch->pending.end(), 0);
   }
   if (scratch->pending.empty()) {
     if (obs_predict_batch_seconds_ != nullptr) {
@@ -702,13 +708,9 @@ void LatencyModel::PredictBatch(const std::vector<PredictionQuery>& queries,
       out[i] = PredictFromEmbedding(*q.embedded, q.candidate.theta,
                                     q.candidate.state,
                                     q.candidate.hardware_type);
-      if (memo != nullptr) {
-        memo->Insert(MakePredictionKey(*q.embedded, q.candidate.theta,
-                                       q.candidate.state,
-                                       q.candidate.hardware_type, dd,
-                                       params_tag_),
-                     out[i]);
-      }
+    }
+    if (memo != nullptr) {
+      memo->InsertBatch(scratch->keys, out, scratch->pending);
     }
     // No predict_batch_seconds observation here: these rows were already
     // timed inside Predict, and the breakdown rollup must not count the
@@ -757,16 +759,9 @@ void LatencyModel::PredictBatch(const std::vector<PredictionQuery>& queries,
       const int i = scratch->pending[start + r];
       const double pred_log = Clamp(y.Row(r)[0], -2.0, 12.5);
       out[i] = std::max(0.005, std::expm1(pred_log));
-      if (memo != nullptr) {
-        const PredictionQuery& q = queries[i];
-        memo->Insert(MakePredictionKey(*q.embedded, q.candidate.theta,
-                                       q.candidate.state,
-                                       q.candidate.hardware_type, dd,
-                                       params_tag_),
-                     out[i]);
-      }
     }
   }
+  if (memo != nullptr) memo->InsertBatch(scratch->keys, out, scratch->pending);
   if (obs_predict_batch_seconds_ != nullptr) {
     obs_predict_batch_seconds_->Observe(timer.ElapsedSeconds());
   }
@@ -788,13 +783,81 @@ Result<std::vector<double>> LatencyModel::PredictRecords(
     const TraceDataset& dataset, const std::vector<int>& indices) const {
   if (obs_predict_records_ != nullptr) obs_predict_records_->Increment();
   std::vector<double> out;
-  out.reserve(indices.size());
+  if (options_.kind != ModelKind::kMciGtn &&
+      options_.kind != ModelKind::kMciTlstm) {
+    out.reserve(indices.size());
+    for (int idx : indices) {
+      const InstanceRecord& r = dataset.records[static_cast<size_t>(idx)];
+      Result<double> pred = Predict(dataset.StageOf(r), r.instance_idx,
+                                    r.theta, r.machine_state,
+                                    r.hardware_type);
+      if (!pred.ok()) return pred.status();
+      out.push_back(pred.value());
+    }
+    return out;
+  }
+  // Validate first, in record order, so a bad record fails with the status
+  // Predict would return for it.
+  const int dd = options_.featurizer.discretization_degree();
   for (int idx : indices) {
     const InstanceRecord& r = dataset.records[static_cast<size_t>(idx)];
+    FGRO_RETURN_IF_ERROR(ValidateInstanceMeta(dataset.StageOf(r),
+                                              r.instance_idx));
+    FGRO_RETURN_IF_ERROR(
+        ValidateChannels(r.theta, r.machine_state, r.hardware_type, dd));
+  }
+  // Embed each (stage, instance) once, one EmbedBatch per stage.
+  std::map<const Stage*, std::map<int, size_t>> slot_of;
+  for (int idx : indices) {
+    const InstanceRecord& r = dataset.records[static_cast<size_t>(idx)];
+    slot_of[&dataset.StageOf(r)].emplace(r.instance_idx, 0);
+  }
+  std::vector<EmbeddedInstance> embedded;
+  for (auto& [stage, slots] : slot_of) {
+    std::vector<int> ids;
+    ids.reserve(slots.size());
+    for (auto& [instance, slot] : slots) {
+      slot = embedded.size() + ids.size();
+      ids.push_back(instance);
+    }
+    Result<std::vector<EmbeddedInstance>> batch = EmbedBatch(*stage, ids);
+    if (!batch.ok()) return batch.status();
+    std::move(batch.value().begin(), batch.value().end(),
+              std::back_inserter(embedded));
+  }
+  std::vector<PredictionQuery> queries;
+  queries.reserve(indices.size());
+  for (int idx : indices) {
+    const InstanceRecord& r = dataset.records[static_cast<size_t>(idx)];
+    queries.push_back(PredictionQuery{
+        &embedded[slot_of[&dataset.StageOf(r)][r.instance_idx]],
+        {r.theta, r.machine_state, r.hardware_type}});
+  }
+  out.resize(indices.size());
+  BatchScratch scratch;
+  PredictBatch(queries, out.data(), &scratch);
+  // PredictBatch standardizes the context tail without the +-10 clamp that
+  // Predict's Standardizer::Apply takes; a record whose tail leaves that
+  // band is predicted per record, so every value equals Predict's.
+  if (!inst_standardizer_.fitted()) return out;
+  double context[kContextDim];
+  for (size_t k = 0; k < indices.size(); ++k) {
+    const InstanceRecord& r = dataset.records[static_cast<size_t>(indices[k])];
+    ContextFeatureRowInto(r.theta, r.machine_state, r.hardware_type,
+                          options_.featurizer.mask(), dd, context);
+    bool clamps = false;
+    for (int i = 0; i < kContextDim; ++i) {
+      const size_t j = static_cast<size_t>(kCh2Dim + i);
+      const double z =
+          (context[i] - inst_standardizer_.mean[j]) *
+          inst_standardizer_.inv_std[j];
+      clamps = clamps || z < -10.0 || z > 10.0;
+    }
+    if (!clamps) continue;
     Result<double> pred = Predict(dataset.StageOf(r), r.instance_idx, r.theta,
                                   r.machine_state, r.hardware_type);
     if (!pred.ok()) return pred.status();
-    out.push_back(pred.value());
+    out[k] = pred.value();
   }
   return out;
 }

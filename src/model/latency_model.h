@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -142,6 +143,7 @@ class LatencyModel {
     Mat features;
     MlpScratch mlp;
     std::vector<int> pending;
+    std::vector<PredictionKey> keys;       // one memo key per query
     std::vector<PredictionQuery> queries;  // used by the candidates overload
   };
 
@@ -154,11 +156,12 @@ class LatencyModel {
   /// O(chunk) extra memory. QPPNet-style kinds (no reusable plan embedding)
   /// fall back to per-row PredictFromEmbedding.
   ///
-  /// If `memo` is non-null it is consulted per row (keyed on the embedding
-  /// identity and the discretized candidate — exact, see PredictionKey) and
-  /// misses are inserted after the forward pass. `out` must hold
-  /// queries.size() doubles.
-  void PredictBatch(const std::vector<PredictionQuery>& queries, double* out,
+  /// If `memo` is non-null every row's key (the embedding identity and the
+  /// discretized candidate — exact, see PredictionKey) is built once,
+  /// looked up in one LookupBatch, and the misses are inserted after the
+  /// forward pass in one InsertBatch. `out` must hold queries.size()
+  /// doubles.
+  void PredictBatch(std::span<const PredictionQuery> queries, double* out,
                     BatchScratch* scratch,
                     PredictionMemo* memo = nullptr) const;
   /// Common special case: one embedding swept over many candidates (RAA's

@@ -1,5 +1,7 @@
 #include "model/prediction_cache.h"
 
+#include <algorithm>
+
 namespace fgro {
 namespace {
 
@@ -10,6 +12,8 @@ uint64_t Mix(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+uint64_t Fingerprint(const PredictionKey& key) { return key.Hash() | 1; }
 
 }  // namespace
 
@@ -30,60 +34,153 @@ uint64_t PredictionKey::Hash() const {
 }
 
 PredictionMemo::PredictionMemo(size_t capacity)
-    : capacity_(capacity < kShards ? kShards : capacity) {}
+    : buckets_(std::max<size_t>(1, capacity / kWays)),
+      keys_(buckets_.size() * kWays),
+      values_(buckets_.size() * kWays),
+      next_victim_(buckets_.size(), 0) {}
 
-bool PredictionMemo::Lookup(const PredictionKey& key, double* value) {
-  Shard& shard = shards_[key.Hash() % kShards];
-  bool hit = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      *value = it->second;
-      hit = true;
+bool PredictionMemo::FindLocked(size_t bucket, uint64_t fingerprint,
+                                const PredictionKey& key,
+                                double* value) const {
+  const uint64_t* fingerprints = buckets_[bucket].fingerprint;
+  for (size_t w = 0; w < kWays; ++w) {
+    if (fingerprints[w] == fingerprint && keys_[bucket * kWays + w] == key) {
+      *value = values_[bucket * kWays + w];
+      return true;
     }
   }
-  if (hit) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_hits_ != nullptr) obs_hits_->Increment();
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_misses_ != nullptr) obs_misses_->Increment();
+  return false;
+}
+
+void PredictionMemo::InsertLocked(size_t bucket, uint64_t fingerprint,
+                                  const PredictionKey& key, double value) {
+  uint64_t* fingerprints = buckets_[bucket].fingerprint;
+  size_t way = kWays;
+  for (size_t w = 0; w < kWays; ++w) {
+    if (fingerprints[w] == fingerprint && keys_[bucket * kWays + w] == key) {
+      return;
+    }
+    if (fingerprints[w] == 0 && way == kWays) way = w;
+  }
+  if (way == kWays) {
+    way = next_victim_[bucket];
+    next_victim_[bucket] = static_cast<uint8_t>((way + 1) % kWays);
+  }
+  fingerprints[way] = fingerprint;
+  keys_[bucket * kWays + way] = key;
+  values_[bucket * kWays + way] = value;
+}
+
+void PredictionMemo::Count(uint64_t hits, uint64_t misses) {
+  hits_.fetch_add(hits, std::memory_order_relaxed);
+  misses_.fetch_add(misses, std::memory_order_relaxed);
+  if (obs_hits_ != nullptr) {
+    obs_hits_->Increment(hits);
+    obs_misses_->Increment(misses);
   }
   if (obs_hit_ratio_ != nullptr) {
-    const double h = static_cast<double>(hits());
-    const double total = h + static_cast<double>(misses());
+    const double h = static_cast<double>(this->hits());
+    const double total = h + static_cast<double>(this->misses());
     obs_hit_ratio_->Set(total > 0.0 ? h / total : 0.0);
   }
+}
+
+bool PredictionMemo::Lookup(const PredictionKey& key, double* value) {
+  uint64_t fingerprint = 0;
+  const size_t bucket = Locate(key, &fingerprint);
+  bool hit = false;
+  {
+    std::lock_guard<std::mutex> lock(StripeOf(bucket).mutex);
+    hit = FindLocked(bucket, fingerprint, key, value);
+  }
+  Count(hit ? 1 : 0, hit ? 0 : 1);
   return hit;
 }
 
 void PredictionMemo::Insert(const PredictionKey& key, double value) {
-  Shard& shard = shards_[key.Hash() % kShards];
-  const size_t shard_capacity = capacity_ / kShards;
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [it, inserted] = shard.map.emplace(key, value);
-  if (!inserted) return;
-  shard.order.push_back(key);
-  while (shard.order.size() > shard_capacity) {
-    shard.map.erase(shard.order.front());
-    shard.order.pop_front();
+  uint64_t fingerprint = 0;
+  const size_t bucket = Locate(key, &fingerprint);
+  std::lock_guard<std::mutex> lock(StripeOf(bucket).mutex);
+  InsertLocked(bucket, fingerprint, key, value);
+}
+
+size_t PredictionMemo::Locate(const PredictionKey& key,
+                              uint64_t* fingerprint) const {
+  *fingerprint = Fingerprint(key);
+  // Multiply-shift range reduction on the high bits: any bucket count, and
+  // independent of the low bit the fingerprint forces to 1.
+  const size_t bucket = static_cast<size_t>(
+      (static_cast<unsigned __int128>(*fingerprint) * buckets_.size()) >> 64);
+  __builtin_prefetch(&buckets_[bucket]);
+  return bucket;
+}
+
+void PredictionMemo::LookupBatch(std::span<const PredictionKey> keys,
+                                 double* values, std::vector<int>* misses) {
+  const size_t n = keys.size();
+  uint64_t hits = 0;
+  uint64_t fingerprints[kBlock];
+  size_t buckets[kBlock];
+  for (size_t start = 0; start < n; start += kBlock) {
+    const size_t count = std::min(kBlock, n - start);
+    for (size_t k = 0; k < count; ++k) {
+      buckets[k] = Locate(keys[start + k], &fingerprints[k]);
+    }
+    for (size_t k = 0; k < count; ++k) {
+      const size_t i = start + k;
+      bool hit = false;
+      {
+        std::lock_guard<std::mutex> lock(StripeOf(buckets[k]).mutex);
+        hit = FindLocked(buckets[k], fingerprints[k], keys[i], &values[i]);
+      }
+      if (hit) {
+        ++hits;
+      } else {
+        misses->push_back(static_cast<int>(i));
+      }
+    }
+  }
+  Count(hits, n - hits);
+}
+
+void PredictionMemo::InsertBatch(std::span<const PredictionKey> keys,
+                                 const double* values,
+                                 std::span<const int> rows) {
+  uint64_t fingerprints[kBlock];
+  size_t buckets[kBlock];
+  for (size_t start = 0; start < rows.size(); start += kBlock) {
+    const size_t count = std::min(kBlock, rows.size() - start);
+    for (size_t k = 0; k < count; ++k) {
+      buckets[k] = Locate(keys[static_cast<size_t>(rows[start + k])],
+                          &fingerprints[k]);
+    }
+    for (size_t k = 0; k < count; ++k) {
+      const size_t i = static_cast<size_t>(rows[start + k]);
+      std::lock_guard<std::mutex> lock(StripeOf(buckets[k]).mutex);
+      InsertLocked(buckets[k], fingerprints[k], keys[i], values[i]);
+    }
   }
 }
 
 void PredictionMemo::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-    shard.order.clear();
+  for (size_t s = 0; s < kStripes; ++s) {
+    std::lock_guard<std::mutex> lock(stripes_[s].mutex);
+    for (size_t b = s; b < buckets_.size(); b += kStripes) {
+      buckets_[b] = Bucket{};
+      next_victim_[b] = 0;
+    }
   }
 }
 
 size_t PredictionMemo::size() const {
   size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.map.size();
+  for (size_t s = 0; s < kStripes; ++s) {
+    std::lock_guard<std::mutex> lock(stripes_[s].mutex);
+    for (size_t b = s; b < buckets_.size(); b += kStripes) {
+      for (uint64_t fingerprint : buckets_[b].fingerprint) {
+        total += fingerprint != 0 ? 1 : 0;
+      }
+    }
   }
   return total;
 }

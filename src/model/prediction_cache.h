@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <unordered_map>
+#include <span>
+#include <vector>
 
 #include "obs/obs.h"
 
@@ -16,8 +16,8 @@ namespace fgro {
 /// the *discretized* state bit patterns — plus the raw theta bits, the
 /// hardware type, and the (job, stage, instance) identity of the embedding
 /// — makes a hit return exactly the value the model would have computed,
-/// never an approximation. The full tuple (not just its hash) is the map
-/// key: a 64-bit hash collision could otherwise silently corrupt a replay.
+/// never an approximation. A hit compares the full tuple, not just its
+/// hash: a 64-bit hash collision could otherwise silently corrupt a replay.
 struct PredictionKey {
   int32_t job_id = 0;
   int32_t stage_id = 0;
@@ -46,29 +46,32 @@ struct PredictionKey {
   uint64_t Hash() const;
 };
 
-struct PredictionKeyHash {
-  size_t operator()(const PredictionKey& k) const {
-    return static_cast<size_t>(k.Hash());
-  }
-};
-
 /// Bounded, thread-safe memo of prediction queries for the optimizer hot
 /// path. The clustered IPA/RAA variants and the evolutionary baselines
 /// re-issue identical (representative, machine bucket, theta) queries many
 /// times per stage; a hit skips the whole forward pass.
 ///
-/// Sharded 16 ways by key hash; each shard holds an unordered_map plus a
-/// FIFO ring for eviction (oldest insertion goes first once the shard
-/// exceeds capacity/16). Values for a key are immutable once inserted, so a
-/// replay is byte-identical whether any given query hits or misses — which
-/// is what keeps batched/parallel replays identical to the scalar run even
-/// though hit/miss *counters* may differ across thread interleavings.
+/// A flat set-associative table allocated once at construction: capacity /
+/// 8 buckets of 8 ways. A bucket's 64-bit fingerprints (the key hash with
+/// the low bit forced to 1, so 0 marks an empty way) fill one 64-byte
+/// line; the full keys and the values sit in parallel arrays. A miss reads
+/// that one line. A hit also compares the full key field by field, so it
+/// is exact and a fingerprint collision is a miss. Insert writes in place
+/// (an empty way, else a round-robin victim of the full bucket) and never
+/// allocates. Buckets are guarded by 16 striped mutexes.
+///
+/// Values for a key are immutable while it is stored, so a replay is
+/// byte-identical whether any given query hits or misses — which is what
+/// keeps batched/parallel replays identical to the scalar run even though
+/// hit/miss *counters* may differ across thread interleavings.
 ///
 /// Keys carry the scoring model's params_tag, so the memo stays valid
 /// across Train/FineTune/hot-swap: entries written under old weights are
-/// simply unreachable (and age out FIFO) once the model re-tags.
+/// simply unreachable (and get overwritten) once the model re-tags.
 class PredictionMemo {
  public:
+  /// `capacity` is rounded down to whole 8-way buckets, at least one;
+  /// capacity() reports the result, which bounds size().
   explicit PredictionMemo(size_t capacity = 1 << 16);
 
   PredictionMemo(const PredictionMemo&) = delete;
@@ -78,34 +81,62 @@ class PredictionMemo {
   /// way.
   bool Lookup(const PredictionKey& key, double* value);
 
-  /// Inserts (idempotent: re-inserting an existing key is a no-op, so two
+  /// Inserts (idempotent: re-inserting a stored key is a no-op, so two
   /// workers racing on the same miss both record the same value).
   void Insert(const PredictionKey& key, double value);
+
+  /// Lookup over every key: fills values[i] on a hit and appends i to
+  /// *misses (in ascending order) otherwise. Bucket lines are prefetched a
+  /// block of keys ahead, and the telemetry is bumped once per call.
+  void LookupBatch(std::span<const PredictionKey> keys, double* values,
+                   std::vector<int>* misses);
+
+  /// Insert(keys[i], values[i]) for every i in `rows`, in order.
+  void InsertBatch(std::span<const PredictionKey> keys, const double* values,
+                   std::span<const int> rows);
 
   void Clear();
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  /// Occupied ways; scans the table.
   size_t size() const;
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return buckets_.size() * kWays; }
 
   /// Wires (or with a default Obs, unwires) the hit/miss counters
   /// ("model.memo.hits"/"model.memo.misses") and the running hit-ratio
-  /// gauge ("model.memo.hit_ratio", hits/(hits+misses), refreshed on every
-  /// Lookup). Resolve-once like LatencyModel::set_obs; not thread-safe
-  /// against concurrent Lookup.
+  /// gauge ("model.memo.hit_ratio", hits/(hits+misses), refreshed after
+  /// every Lookup and LookupBatch). Resolve-once like
+  /// LatencyModel::set_obs; not thread-safe against concurrent Lookup.
   void set_obs(const obs::Obs& obs);
 
  private:
-  static constexpr size_t kShards = 16;
-  struct Shard {
+  static constexpr size_t kWays = 8;
+  static constexpr size_t kStripes = 16;
+  static constexpr size_t kBlock = 16;  // batch keys located per prefetch
+  struct alignas(64) Bucket {
+    uint64_t fingerprint[kWays] = {};  // 0 = empty way
+  };
+  struct alignas(64) Stripe {
     mutable std::mutex mutex;
-    std::unordered_map<PredictionKey, double, PredictionKeyHash> map;
-    std::deque<PredictionKey> order;  // FIFO eviction
   };
 
-  size_t capacity_;
-  Shard shards_[kShards];
+  /// The key's fingerprint into *fingerprint; returns its bucket, whose
+  /// line it prefetches.
+  size_t Locate(const PredictionKey& key, uint64_t* fingerprint) const;
+  Stripe& StripeOf(size_t bucket) { return stripes_[bucket % kStripes]; }
+  /// Both require the bucket's stripe mutex.
+  bool FindLocked(size_t bucket, uint64_t fingerprint,
+                  const PredictionKey& key, double* value) const;
+  void InsertLocked(size_t bucket, uint64_t fingerprint,
+                    const PredictionKey& key, double value);
+  void Count(uint64_t hits, uint64_t misses);
+
+  std::vector<Bucket> buckets_;
+  std::vector<PredictionKey> keys_;  // way w of bucket b at b * kWays + w
+  std::vector<double> values_;
+  std::vector<uint8_t> next_victim_;  // per bucket: round-robin eviction
+  Stripe stripes_[kStripes];
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   obs::Counter* obs_hits_ = nullptr;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -18,6 +19,10 @@ namespace {
 /// 16-row GEMM panels with a few plan graphs' nodes, small enough that a
 /// wide stage still fans across the worker pool.
 constexpr int kEmbedChunk = 32;
+
+/// Rows per PredictBatch call in PredictQueries: PredictBatch's own
+/// feature-assembly chunk, a multiple of the 16-row GEMM panel.
+constexpr int kPredictChunk = 256;
 
 }  // namespace
 
@@ -53,12 +58,44 @@ bool EmbedInstances(const SchedulingContext& context,
   return !failed.load();
 }
 
+bool PredictQueries(const SchedulingContext& context,
+                    const std::vector<LatencyModel::PredictionQuery>& queries,
+                    std::vector<double>* out) {
+  const int n = static_cast<int>(queries.size());
+  out->resize(static_cast<size_t>(n));
+  const int chunks = (n + kPredictChunk - 1) / kPredictChunk;
+  // One lane per thread that can take part (the pool's workers plus the
+  // caller), each reusing one scratch over the chunks it strides through.
+  // Each chunk's rows are written by exactly one lane.
+  const int lanes =
+      context.worker_pool == nullptr
+          ? 1
+          : std::max(1, std::min(chunks, context.worker_pool->size() + 1));
+  std::atomic<bool> expired{false};
+  ParallelFor(context.worker_pool, lanes, [&](int lane) {
+    LatencyModel::BatchScratch scratch;
+    for (int chunk = lane; chunk < chunks; chunk += lanes) {
+      if (expired.load(std::memory_order_relaxed)) return;
+      if (context.deadline.expired()) {
+        expired.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const int begin = chunk * kPredictChunk;
+      const int count = std::min(kPredictChunk, n - begin);
+      context.model->PredictBatch(
+          std::span<const LatencyModel::PredictionQuery>(queries).subspan(
+              static_cast<size_t>(begin), static_cast<size_t>(count)),
+          out->data() + begin, &scratch, context.memo);
+    }
+  });
+  return !expired.load();
+}
+
 bool BuildBplMatrix(const SchedulingContext& context,
                     const std::vector<int>& instance_rows,
                     const std::vector<int>& machine_cols,
                     std::vector<std::vector<double>>* L) {
   const Cluster& cluster = *context.cluster;
-  const LatencyModel& model = *context.model;
   const int m = static_cast<int>(instance_rows.size());
   const int n = static_cast<int>(machine_cols.size());
   L->assign(static_cast<size_t>(m),
@@ -68,8 +105,7 @@ bool BuildBplMatrix(const SchedulingContext& context,
   std::vector<LatencyModel::EmbeddedInstance> embedded;
   if (!EmbedInstances(context, instance_rows, &embedded)) return false;
 
-  // The whole matrix as one flat batch: PredictBatch chunks internally, so
-  // this never materializes m*n feature rows at once.
+  // The whole matrix as one flat batch.
   std::vector<LatencyModel::PredictionQuery> queries;
   queries.reserve(static_cast<size_t>(m) * static_cast<size_t>(n));
   for (int i = 0; i < m; ++i) {
@@ -81,9 +117,8 @@ bool BuildBplMatrix(const SchedulingContext& context,
           {context.theta0, machine.state(), machine.hardware().id}});
     }
   }
-  std::vector<double> out(queries.size());
-  LatencyModel::BatchScratch scratch;
-  model.PredictBatch(queries, out.data(), &scratch, context.memo);
+  std::vector<double> out;
+  if (!PredictQueries(context, queries, &out)) return false;
   for (int i = 0; i < m; ++i) {
     std::copy(out.begin() + static_cast<long>(i) * n,
               out.begin() + static_cast<long>(i + 1) * n,

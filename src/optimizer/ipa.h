@@ -31,12 +31,23 @@ bool EmbedInstances(const SchedulingContext& context,
                     const std::vector<int>& instance_ids,
                     std::vector<LatencyModel::EmbeddedInstance>* out);
 
+/// Predicts every query into (*out)[k] through LatencyModel::PredictBatch,
+/// memoized via context.memo: 256-row chunks, fanned across
+/// context.worker_pool when set, with one BatchScratch per participating
+/// thread. A row's value does not depend on its chunk, so the result is
+/// byte-identical at any thread count. The deadline is checked before each
+/// chunk; returns false when it expired, in which case *out is
+/// unspecified. Shared by BuildBplMatrix and RAA's flat batches.
+bool PredictQueries(const SchedulingContext& context,
+                    const std::vector<LatencyModel::PredictionQuery>& queries,
+                    std::vector<double>* out);
+
 /// Shared by IPA and its clustered variant: fills (*L)[i][j] with the
 /// predicted latency of stage instance instance_rows[i] on machine
 /// machine_cols[j] (a cluster machine id) under theta0. The rows are
 /// embedded together (EmbedInstances) and the whole matrix becomes one
-/// PredictBatch call (chunked internally, memoized via context.memo),
-/// bit-identical to per-cell PredictFromEmbedding calls.
+/// PredictQueries call, bit-identical to per-cell PredictFromEmbedding
+/// calls.
 /// Returns false when the deadline expired or an embedding failed, in
 /// which case *L is unspecified.
 bool BuildBplMatrix(const SchedulingContext& context,

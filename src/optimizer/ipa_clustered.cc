@@ -46,7 +46,7 @@ ClusteredIpaResult IpaClusteredSchedule(const SchedulingContext& context) {
     }
   }
 
-  // Reduced latency matrix over representatives (one PredictBatch; see
+  // Reduced latency matrix over representatives (one flat batch; see
   // BuildBplMatrix).
   std::vector<int> instance_rows(static_cast<size_t>(mc));
   std::vector<int> machine_cols(static_cast<size_t>(nc));

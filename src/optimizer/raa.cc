@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "clustering/dbscan.h"
@@ -36,6 +36,26 @@ uint64_t DoubleBits(double v) {
   uint64_t b = 0;
   std::memcpy(&b, &v, sizeof(b));
   return b;
+}
+
+bool SameBits(const ResourceConfig& a, const ResourceConfig& b) {
+  return DoubleBits(a.cores) == DoubleBits(b.cores) &&
+         DoubleBits(a.memory_gb) == DoubleBits(b.memory_gb);
+}
+
+/// Bit-for-bit equality of two theta grids.
+bool SameGrid(const std::vector<ResourceConfig>& a,
+              const std::vector<ResourceConfig>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), SameBits);
+}
+
+/// Index of the first theta in `grid` bit-equal to `theta`, or -1.
+int IndexOfBits(const std::vector<ResourceConfig>& grid,
+                const ResourceConfig& theta) {
+  for (size_t t = 0; t < grid.size(); ++t) {
+    if (SameBits(grid[t], theta)) return static_cast<int>(t);
+  }
+  return -1;
 }
 
 /// Builds the RAA groups for each clustering strategy. Every group carries
@@ -158,8 +178,8 @@ std::vector<FastMciGroup> BuildGroups(
 }
 
 /// Per-group solve inputs, resolved sequentially (and model-free) before
-/// the frontier fan so that identical solves can be deduplicated and the
-/// parallel fan stays a pure function of them.
+/// the prediction batches so that identical solves can be deduplicated and
+/// every group's frontier stays a pure function of them.
 struct GroupPrep {
   std::vector<ResourceConfig> grid;
   int theta0_index = -1;  // index of a bit-equal theta0 in grid, or -1
@@ -202,17 +222,17 @@ RaaResult RunRaa(const SchedulingContext& context,
   // are interchangeable for every latency below.
   const int model_dd = context.model->featurizer().discretization_degree();
 
-  // Frontier compression (DESIGN.md §16): on, the fan builds one template
-  // per (instance cluster, machine bucket) keyed content-wise in `cache`
-  // and corrects each group's slot from it. Without a caller-shared cache
+  // Frontier compression (DESIGN.md §16): on, the solve builds one
+  // template per (instance cluster, machine bucket) keyed content-wise in
+  // `cache` and corrects each group's slot from it. Without a caller-shared cache
   // the solve uses a local one (templates shared within this solve only).
   FrontierCache local_cache(1 << 8);
   FrontierCache* cache = nullptr;
   if (context.frontier_compression) {
     cache = context.frontier_cache != nullptr ? context.frontier_cache
                                               : &local_cache;
-    // Wholesale invalidation on model hot-swap, sequentially, before the
-    // fan: entries under the current tag survive, stale tags drop.
+    // Wholesale invalidation on model hot-swap, before any lookup: entries
+    // under the current tag survive, stale tags drop.
     cache->EnsureModelTag(model_tag);
   }
 
@@ -220,8 +240,9 @@ RaaResult RunRaa(const SchedulingContext& context,
   // solve-input signature. Groups with bit-identical signatures would run
   // bit-identical solves — (θ, DiscretizeState) grids re-evaluated for
   // every group sharing a machine bucket and representative content — so
-  // only the lowest-indexed "owner" computes; the rest copy its slot after
-  // the fan. This dedup is value-exact and independent of compression.
+  // only the lowest-indexed "owner" computes; the rest copy its slot once
+  // the owners are solved. This dedup is value-exact and independent of
+  // compression.
   const int ng = static_cast<int>(groups.size());
   std::vector<GroupPrep> prep(static_cast<size_t>(ng));
   // Signature: representative content, canonical content, machine bucket,
@@ -255,14 +276,7 @@ RaaResult RunRaa(const SchedulingContext& context,
       }
     }
     if (gp.grid.empty()) gp.grid.push_back(context.theta0);
-    for (size_t t = 0; t < gp.grid.size(); ++t) {
-      if (DoubleBits(gp.grid[t].cores) == DoubleBits(context.theta0.cores) &&
-          DoubleBits(gp.grid[t].memory_gb) ==
-              DoubleBits(context.theta0.memory_gb)) {
-        gp.theta0_index = static_cast<int>(t);
-        break;
-      }
-    }
+    gp.theta0_index = IndexOfBits(gp.grid, context.theta0);
     gp.canonical = group.canonical_representative >= 0
                        ? group.canonical_representative
                        : group.representative;
@@ -302,15 +316,9 @@ RaaResult RunRaa(const SchedulingContext& context,
     if (!inserted && gp.owner != gi) {
       // The grid hash stands in for grid content inside the signature;
       // verify exactly so a 64-bit collision computes instead of aliasing.
-      const std::vector<ResourceConfig>& own =
-          prep[static_cast<size_t>(gp.owner)].grid;
-      bool same = own.size() == gp.grid.size();
-      for (size_t t = 0; same && t < own.size(); ++t) {
-        same = DoubleBits(own[t].cores) == DoubleBits(gp.grid[t].cores) &&
-               DoubleBits(own[t].memory_gb) ==
-                   DoubleBits(gp.grid[t].memory_gb);
+      if (!SameGrid(prep[static_cast<size_t>(gp.owner)].grid, gp.grid)) {
+        gp.owner = gi;
       }
-      if (!same) gp.owner = gi;
     }
   }
 
@@ -332,51 +340,61 @@ RaaResult RunRaa(const SchedulingContext& context,
     }
   }
 
-  // Instance-level MOO per group, on the representative's machine. Group
-  // frontiers are independent, so they are constructed in a (possibly
-  // parallel) fan into per-group slots and merged sequentially in group
-  // order below — the incumbent accumulation (default_latency/default_cost)
-  // therefore sees the exact FP operation order of the original serial
-  // loop, and the result is byte-identical at any thread count. Every slot
-  // is a pure function of its group's prep (and the model weights), never
-  // of fan order or cache warmth, which is what keeps compressed replays
+  // Instance-level MOO per group, on the representative's machine. Every
+  // owner group's latencies come from two flat prediction batches (the
+  // grid sweeps, then the compressed path's corrections), each fanned in
+  // chunks by PredictQueries. Each group's frontier is then solved into its
+  // own slot, and the slots are merged sequentially in group order below —
+  // the incumbent accumulation (default_latency/default_cost) therefore
+  // sees the exact FP operation order of the original serial loop, and the
+  // result is byte-identical at any thread count. Every slot is a pure
+  // function of its group's prep (and the model weights), never of batch
+  // layout or cache warmth, which is what keeps compressed replays
   // byte-identical too.
   InstanceMooSolver solver(context.cost_weights);
   struct GroupFrontier {
-    bool ok = false;
-    bool expired = false;
-    std::vector<InstanceParetoPoint> frontier;
+    std::vector<InstanceParetoPoint> frontier;  // empty aborts RAA
     double lat0 = 0.0;  // predicted latency of keeping theta0
   };
   std::vector<GroupFrontier> slots(static_cast<size_t>(ng));
-  std::atomic<bool> any_abort{false};
 
-  // Predicts `thetas` (plus theta0 appended when `theta0_index` < 0) for
-  // one embedded instance on the group's machine; returns thetas.size()
-  // (+1) latencies from one PredictBatch sweep.
-  auto predict_thetas = [&](const LatencyModel::EmbeddedInstance& embedded,
-                            const Machine& machine,
-                            const std::vector<ResourceConfig>& thetas,
-                            int theta0_index, std::vector<double>* lats) {
-    const size_t total = thetas.size() + (theta0_index < 0 ? 1 : 0);
-    std::vector<LatencyModel::PredictionCandidate> candidates;
-    candidates.reserve(total);
-    for (const ResourceConfig& theta : thetas) {
-      candidates.push_back({theta, machine.state(), machine.hardware().id});
+  // Phase 1 lookups (compressed): every owner group looks up its cluster's
+  // template, and each missed template is built once, however many groups
+  // share its key.
+  std::vector<std::shared_ptr<const FrontierEntry>> templates(
+      static_cast<size_t>(ng));
+  std::vector<int> build_of(static_cast<size_t>(ng), -1);
+  std::vector<int> builds;  // per template build: the group that keys it
+  if (cache != nullptr) {
+    std::unordered_map<FrontierKey, int, FrontierKeyHash> build_index;
+    for (int gi = 0; gi < ng; ++gi) {
+      const GroupPrep& gp = prep[static_cast<size_t>(gi)];
+      if (gp.owner != gi) continue;
+      auto pending = build_index.find(gp.key);
+      if (pending != build_index.end() &&
+          SameGrid(prep[static_cast<size_t>(
+                            builds[static_cast<size_t>(pending->second)])]
+                       .grid,
+                   gp.grid)) {
+        build_of[static_cast<size_t>(gi)] = pending->second;
+        continue;
+      }
+      if (cache->Lookup(gp.key, gp.grid,
+                        &templates[static_cast<size_t>(gi)])) {
+        if (c_hits != nullptr) c_hits->Increment();
+        continue;
+      }
+      if (c_misses != nullptr) c_misses->Increment();
+      build_of[static_cast<size_t>(gi)] = static_cast<int>(builds.size());
+      build_index.emplace(gp.key, static_cast<int>(builds.size()));
+      builds.push_back(gi);
     }
-    if (theta0_index < 0) {
-      candidates.push_back(
-          {context.theta0, machine.state(), machine.hardware().id});
-    }
-    lats->assign(total, 0.0);
-    LatencyModel::BatchScratch scratch;
-    context.model->PredictBatch(embedded, candidates, lats->data(), &scratch,
-                                context.memo);
-  };
+  }
 
-  // Embed, in one call before the fan, every instance it may need: each
-  // owner group's representative and, under compression, its cluster's
-  // canonical representative (a template build needs it on a miss).
+  // Embed, in one call, every instance the sweeps need: each owner group's
+  // representative, unless it is its compressed cluster's canonical one
+  // (then the template is its solve), and every template build's canonical
+  // representative.
   std::vector<int> embed_slot(static_cast<size_t>(m), -1);
   std::vector<int> embed_ids;
   auto want = [&](int instance) {
@@ -386,10 +404,13 @@ RaaResult RunRaa(const SchedulingContext& context,
     embed_ids.push_back(instance);
   };
   for (int gi = 0; gi < ng; ++gi) {
-    if (prep[static_cast<size_t>(gi)].owner != gi) continue;
-    want(groups[static_cast<size_t>(gi)].representative);
-    if (cache != nullptr) want(prep[static_cast<size_t>(gi)].canonical);
+    const GroupPrep& gp = prep[static_cast<size_t>(gi)];
+    const int representative = groups[static_cast<size_t>(gi)].representative;
+    if (gp.owner == gi && (cache == nullptr || representative != gp.canonical)) {
+      want(representative);
+    }
   }
+  for (int owner : builds) want(prep[static_cast<size_t>(owner)].canonical);
   std::vector<LatencyModel::EmbeddedInstance> embedded;
   if (!EmbedInstances(context, embed_ids, &embedded)) {
     if (context.deadline.expired()) {
@@ -397,116 +418,155 @@ RaaResult RunRaa(const SchedulingContext& context,
     }
     return result;
   }
-  auto embedding_of =
-      [&](int instance) -> const LatencyModel::EmbeddedInstance& {
-    return embedded[static_cast<size_t>(
+
+  // A sweep predicts `thetas`, plus theta0 appended when `theta0_index` <
+  // 0, for one instance on one group's machine, as consecutive rows of
+  // `queries`; add_sweep returns its first row.
+  std::vector<LatencyModel::PredictionQuery> queries;
+  std::vector<double> lats;
+  auto add_sweep = [&](int instance, int gi,
+                       const std::vector<ResourceConfig>& thetas,
+                       int theta0_index) {
+    const size_t offset = queries.size();
+    const LatencyModel::EmbeddedInstance* e = &embedded[static_cast<size_t>(
         embed_slot[static_cast<size_t>(instance)])];
+    const Machine& machine = cluster.machine(
+        groups[static_cast<size_t>(gi)].representative_machine);
+    for (const ResourceConfig& theta : thetas) {
+      queries.push_back({e, {theta, machine.state(), machine.hardware().id}});
+    }
+    if (theta0_index < 0) {
+      queries.push_back(
+          {e, {context.theta0, machine.state(), machine.hardware().id}});
+    }
+    return offset;
+  };
+  auto lat0_of = [&](size_t offset, size_t points, int theta0_index) {
+    return lats[offset + (theta0_index >= 0
+                              ? static_cast<size_t>(theta0_index)
+                              : points)];
+  };
+  // Checked before each batch (PredictQueries also checks per chunk). On
+  // expiry RAA aborts with ok=false and the ladder keeps the (valid)
+  // placement on theta0.
+  auto predict = [&] {
+    if (!context.deadline.expired() &&
+        PredictQueries(context, queries, &lats)) {
+      return true;
+    }
+    result.solve_seconds = timer.ElapsedSeconds();
+    return false;
   };
 
-  auto compute_group = [&](int gi) {
-    GroupFrontier& slot = slots[static_cast<size_t>(gi)];
-    // Best-effort early-out: once any group aborted, the whole RAA attempt
-    // is discarded, so remaining groups skip their model bill.
-    if (any_abort.load(std::memory_order_relaxed)) return;
-    // Deadline check per group frontier: RAA aborts with ok=false and the
-    // ladder keeps the (valid) placement on theta0.
-    if (context.deadline.expired()) {
-      slot.expired = true;
-      any_abort.store(true, std::memory_order_relaxed);
-      return;
+  // Phase 1 batch: uncompressed, every owner group's grid with its
+  // representative; compressed, every template build's grid with the
+  // canonical representative.
+  std::vector<size_t> sweep_of(static_cast<size_t>(ng), 0);
+  if (cache == nullptr) {
+    for (int gi = 0; gi < ng; ++gi) {
+      const GroupPrep& gp = prep[static_cast<size_t>(gi)];
+      if (gp.owner != gi) continue;
+      sweep_of[static_cast<size_t>(gi)] =
+          add_sweep(groups[static_cast<size_t>(gi)].representative, gi,
+                    gp.grid, gp.theta0_index);
     }
-    const FastMciGroup& group = groups[static_cast<size_t>(gi)];
-    const GroupPrep& gp = prep[static_cast<size_t>(gi)];
-    const Machine& machine = cluster.machine(group.representative_machine);
-    const std::vector<ResourceConfig>& grid = gp.grid;
+  }
+  for (int owner : builds) {
+    const GroupPrep& gp = prep[static_cast<size_t>(owner)];
+    sweep_of[static_cast<size_t>(owner)] =
+        add_sweep(gp.canonical, owner, gp.grid, gp.theta0_index);
+  }
+  if (!predict()) return result;
 
-    if (cache == nullptr) {
-      // Uncompressed per-group solve: the bit-identical legacy oracle
-      // (modulo the theta0-in-grid dedup, which reuses the identical grid
-      // value instead of predicting it twice).
-      std::vector<double> lats;
-      predict_thetas(embedding_of(group.representative), machine, grid,
-                     gp.theta0_index, &lats);
-      slot.frontier = solver.SolveExhaustive(lats.data(), grid);
-      slot.lat0 = gp.theta0_index >= 0
-                      ? lats[static_cast<size_t>(gp.theta0_index)]
-                      : lats.back();
-    } else {
-      // Compressed path: fetch or build the cluster's frontier template
-      // (canonical representative), then correct for this group.
-      std::shared_ptr<const FrontierEntry> tmpl;
-      if (cache->Lookup(gp.key, grid, &tmpl)) {
-        if (c_hits != nullptr) c_hits->Increment();
-      } else {
-        if (c_misses != nullptr) c_misses->Increment();
-        auto entry = std::make_shared<FrontierEntry>();
-        entry->grid = grid;
-        predict_thetas(embedding_of(gp.canonical), machine, grid,
-                       gp.theta0_index, &entry->latencies);
-        entry->lat0 =
-            gp.theta0_index >= 0
-                ? entry->latencies[static_cast<size_t>(gp.theta0_index)]
-                : entry->latencies.back();
-        entry->latencies.resize(grid.size());
-        entry->frontier = solver.SolveExhaustive(entry->latencies.data(),
-                                                 entry->grid);
-        cache->Insert(gp.key, entry);
-        tmpl = std::move(entry);
-        if (c_builds != nullptr) c_builds->Increment();
-      }
+  // Templates are solved in parallel and inserted in build order.
+  std::vector<std::shared_ptr<const FrontierEntry>> built(builds.size());
+  ParallelFor(context.worker_pool, static_cast<int>(builds.size()),
+              [&](int b) {
+                const int owner = builds[static_cast<size_t>(b)];
+                const GroupPrep& gp = prep[static_cast<size_t>(owner)];
+                const size_t offset = sweep_of[static_cast<size_t>(owner)];
+                auto entry = std::make_shared<FrontierEntry>();
+                entry->grid = gp.grid;
+                entry->latencies.assign(
+                    lats.begin() + static_cast<long>(offset),
+                    lats.begin() +
+                        static_cast<long>(offset + gp.grid.size()));
+                entry->lat0 =
+                    lat0_of(offset, gp.grid.size(), gp.theta0_index);
+                entry->frontier = solver.SolveExhaustive(
+                    entry->latencies.data(), entry->grid);
+                built[static_cast<size_t>(b)] = std::move(entry);
+              });
+  for (size_t b = 0; b < builds.size(); ++b) {
+    cache->Insert(prep[static_cast<size_t>(builds[b])].key, built[b]);
+    if (c_builds != nullptr) c_builds->Increment();
+  }
 
-      if (group.representative == gp.canonical) {
-        // The template IS this group's solve: share it verbatim.
-        slot.frontier = tmpl->frontier;
-        slot.lat0 = tmpl->lat0;
-      } else {
-        // Correction pass: re-rank K evenly spread template-frontier
-        // points (endpoints included) plus theta0 with this group's true
-        // representative embedding, then Pareto-filter. Bounded by
-        // kCorrectionTopK; deterministic given (template, representative).
-        const int f = static_cast<int>(tmpl->frontier.size());
-        const int k = std::min(kCorrectionTopK, f);
-        std::vector<ResourceConfig> picked;
-        picked.reserve(static_cast<size_t>(k));
-        int last = -1;
-        for (int j = 0; j < k; ++j) {
-          const int idx =
-              k == 1 ? 0 : static_cast<int>((static_cast<long>(j) * (f - 1) +
-                                             (k - 1) / 2) /
-                                            (k - 1));
-          if (idx == last) continue;
-          last = idx;
-          picked.push_back(tmpl->frontier[static_cast<size_t>(idx)].theta);
-        }
-        int theta0_at = -1;
-        for (size_t t = 0; t < picked.size(); ++t) {
-          if (DoubleBits(picked[t].cores) ==
-                  DoubleBits(context.theta0.cores) &&
-              DoubleBits(picked[t].memory_gb) ==
-                  DoubleBits(context.theta0.memory_gb)) {
-            theta0_at = static_cast<int>(t);
-            break;
-          }
-        }
-        std::vector<double> lats;
-        predict_thetas(embedding_of(group.representative), machine, picked,
-                       theta0_at, &lats);
-        slot.frontier = solver.SolveExhaustive(lats.data(), picked);
-        slot.lat0 = theta0_at >= 0 ? lats[static_cast<size_t>(theta0_at)]
-                                   : lats.back();
-        if (c_corrections != nullptr) c_corrections->Increment();
+  // Phase 2 (compressed): a group whose representative differs from its
+  // cluster's canonical one re-ranks K evenly spread template-frontier
+  // points (endpoints included) plus theta0 with its own representative
+  // embedding. Bounded by kCorrectionTopK; deterministic given (template,
+  // representative).
+  std::vector<std::vector<ResourceConfig>> picked(static_cast<size_t>(ng));
+  std::vector<int> picked_theta0(static_cast<size_t>(ng), -1);
+  std::vector<bool> corrected(static_cast<size_t>(ng), false);
+  if (cache != nullptr) {
+    queries.clear();
+    for (int gi = 0; gi < ng; ++gi) {
+      const GroupPrep& gp = prep[static_cast<size_t>(gi)];
+      if (gp.owner != gi) continue;
+      std::shared_ptr<const FrontierEntry>& tmpl =
+          templates[static_cast<size_t>(gi)];
+      if (build_of[static_cast<size_t>(gi)] >= 0) {
+        tmpl = built[static_cast<size_t>(build_of[static_cast<size_t>(gi)])];
       }
+      const FastMciGroup& group = groups[static_cast<size_t>(gi)];
+      if (group.representative == gp.canonical) continue;
+      corrected[static_cast<size_t>(gi)] = true;
+      const int f = static_cast<int>(tmpl->frontier.size());
+      const int k = std::min(kCorrectionTopK, f);
+      std::vector<ResourceConfig>& thetas = picked[static_cast<size_t>(gi)];
+      thetas.reserve(static_cast<size_t>(k));
+      int last = -1;
+      for (int j = 0; j < k; ++j) {
+        const int idx =
+            k == 1 ? 0
+                   : static_cast<int>((static_cast<long>(j) * (f - 1) +
+                                       (k - 1) / 2) /
+                                      (k - 1));
+        if (idx == last) continue;
+        last = idx;
+        thetas.push_back(tmpl->frontier[static_cast<size_t>(idx)].theta);
+      }
+      picked_theta0[static_cast<size_t>(gi)] =
+          IndexOfBits(thetas, context.theta0);
+      sweep_of[static_cast<size_t>(gi)] =
+          add_sweep(group.representative, gi, thetas,
+                    picked_theta0[static_cast<size_t>(gi)]);
     }
-    if (slot.frontier.empty()) {
-      any_abort.store(true, std::memory_order_relaxed);
-      return;
-    }
-    slot.ok = true;
-  };
+    if (!predict()) return result;
+  }
 
   ParallelFor(context.worker_pool, ng, [&](int gi) {
-    if (prep[static_cast<size_t>(gi)].owner != gi) return;  // follower
-    compute_group(gi);
+    const GroupPrep& gp = prep[static_cast<size_t>(gi)];
+    if (gp.owner != gi) return;  // follower
+    GroupFrontier& slot = slots[static_cast<size_t>(gi)];
+    const size_t offset = sweep_of[static_cast<size_t>(gi)];
+    if (cache == nullptr) {
+      slot.frontier = solver.SolveExhaustive(&lats[offset], gp.grid);
+      slot.lat0 = lat0_of(offset, gp.grid.size(), gp.theta0_index);
+    } else if (!corrected[static_cast<size_t>(gi)]) {
+      // The template IS this group's solve: share it verbatim.
+      slot.frontier = templates[static_cast<size_t>(gi)]->frontier;
+      slot.lat0 = templates[static_cast<size_t>(gi)]->lat0;
+    } else {
+      const std::vector<ResourceConfig>& thetas =
+          picked[static_cast<size_t>(gi)];
+      slot.frontier = solver.SolveExhaustive(&lats[offset], thetas);
+      slot.lat0 = lat0_of(offset, thetas.size(),
+                          picked_theta0[static_cast<size_t>(gi)]);
+      if (c_corrections != nullptr) c_corrections->Increment();
+    }
   });
   // Followers copy their owner's slot: same signature means the same pure
   // computation, so the copy is value-exact (and the whole point of the
@@ -524,11 +584,7 @@ RaaResult RunRaa(const SchedulingContext& context,
   double default_latency = 0.0, default_cost = 0.0;
   pareto_sets.reserve(slots.size());
   for (GroupFrontier& slot : slots) {
-    if (slot.expired) {
-      result.solve_seconds = timer.ElapsedSeconds();
-      return result;
-    }
-    if (!slot.ok) return result;
+    if (slot.frontier.empty()) return result;
     const size_t gi = pareto_sets.size();
     pareto_sets.push_back(std::move(slot.frontier));
     multiplicity.push_back(
@@ -611,6 +667,7 @@ RaaResult RunRaa(const SchedulingContext& context,
     }
   }
   result.ok = true;
+  result.group_frontiers = std::move(pareto_sets);
   result.solve_seconds = timer.ElapsedSeconds();
   return result;
 }

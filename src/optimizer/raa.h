@@ -41,6 +41,9 @@ struct RaaResult {
   std::vector<std::vector<double>> stage_pareto;
   int recommended_index = -1;
   int num_groups = 0;
+  /// Per RAA group, in group order: the instance-level Pareto frontier
+  /// (descending latency) the stage-level MOO combined. Empty unless ok.
+  std::vector<std::vector<InstanceParetoPoint>> group_frontiers;
 };
 
 /// Resource Assignment Advisor: given a placement plan, computes

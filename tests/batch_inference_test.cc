@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "model/latency_model.h"
 #include "model/prediction_cache.h"
 #include "nn/mlp.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "optimizer/ipa.h"
 #include "trace/workload_gen.h"
 
@@ -66,8 +69,8 @@ TEST(PredictBatchTest, MatchesScalarBitIdenticallyAcrossModelKinds) {
     ASSERT_TRUE(embedded.ok());
 
     Rng rng(41 + static_cast<uint64_t>(kind));
-    // 43 candidates: not a multiple of the GEMM's 4-row block, so the tail
-    // path runs too.
+    // 43 candidates: not a multiple of the GEMM's 16-row panel, so the
+    // padded last panel runs too.
     std::vector<LatencyModel::PredictionCandidate> candidates =
         RandomCandidates(43, &rng);
     std::vector<double> batched(candidates.size());
@@ -281,6 +284,180 @@ TEST(PredictionMemoTest, ConcurrentStressKeepsValuesConsistent) {
   EXPECT_GT(memo.hits(), 0u);
 }
 
+PredictionKey JobKey(int job) {
+  PredictionKey key;
+  key.job_id = job;
+  return key;
+}
+
+TEST(PredictionMemoTest, FullBucketEvictsRoundRobin) {
+  // Capacity 8 is one 8-way bucket, so every key shares it. Twelve inserts
+  // fill it, then overwrite ways 0..3 in turn: keys 0..3 go, 4..11 stay.
+  PredictionMemo memo(8);
+  ASSERT_EQ(memo.capacity(), 8u);
+  for (int i = 0; i < 12; ++i) {
+    memo.Insert(JobKey(i), 100.0 + i);
+    EXPECT_EQ(memo.size(), static_cast<size_t>(std::min(i + 1, 8)));
+  }
+  for (int i = 0; i < 12; ++i) {
+    double v = 0.0;
+    const bool hit = memo.Lookup(JobKey(i), &v);
+    EXPECT_EQ(hit, i >= 4) << "key " << i;
+    if (hit) {
+      EXPECT_EQ(v, 100.0 + i) << "key " << i;
+    }
+  }
+  // The victim cursor keeps turning: the next insert evicts key 4.
+  memo.Insert(JobKey(12), 112.0);
+  double v = 0.0;
+  EXPECT_FALSE(memo.Lookup(JobKey(4), &v));
+  EXPECT_TRUE(memo.Lookup(JobKey(5), &v));
+  EXPECT_TRUE(memo.Lookup(JobKey(12), &v));
+  EXPECT_EQ(v, 112.0);
+  // Re-inserting a stored key neither moves the cursor nor changes it.
+  memo.Insert(JobKey(12), -1.0);
+  EXPECT_TRUE(memo.Lookup(JobKey(12), &v));
+  EXPECT_EQ(v, 112.0);
+  EXPECT_TRUE(memo.Lookup(JobKey(5), &v));
+}
+
+TEST(PredictionMemoTest, SizeNeverExceedsCapacityAtAnyCapacity) {
+  // Including capacities below 16 stripes x 8 ways.
+  for (size_t requested : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                           size_t{9}, size_t{31}, size_t{100}, size_t{127},
+                           size_t{128}, size_t{1000}}) {
+    PredictionMemo memo(requested);
+    EXPECT_GE(memo.capacity(), 8u) << requested;
+    EXPECT_LE(memo.capacity(), std::max<size_t>(requested, 8)) << requested;
+    for (int i = 0; i < 3000; ++i) memo.Insert(JobKey(i), i);
+    EXPECT_LE(memo.size(), memo.capacity()) << requested;
+    size_t survivors = 0;
+    for (int i = 0; i < 3000; ++i) {
+      double v = 0.0;
+      if (memo.Lookup(JobKey(i), &v)) {
+        EXPECT_EQ(v, static_cast<double>(i));
+        ++survivors;
+      }
+    }
+    EXPECT_EQ(survivors, memo.size()) << requested;
+  }
+}
+
+TEST(PredictionMemoTest, BatchCallsAgreeWithSingleCalls) {
+  // The same traffic through Lookup/Insert and through LookupBatch/
+  // InsertBatch: identical hits, values, misses and counters. 40 keys per
+  // round cross the 16-key prefetch blocks; a small memo makes rounds evict.
+  PredictionMemo single(64);
+  PredictionMemo batched(64);
+  Rng rng(5);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<PredictionKey> keys;
+    for (int k = 0; k < 40; ++k) {
+      PredictionKey key;
+      key.job_id = static_cast<int32_t>(rng.UniformInt(0, 99));
+      key.theta_cores_bits = static_cast<uint64_t>(rng.UniformInt(0, 3));
+      keys.push_back(key);
+    }
+    std::vector<double> single_values(keys.size(), -1.0);
+    std::vector<int> single_misses;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (!single.Lookup(keys[i], &single_values[i])) {
+        single_misses.push_back(static_cast<int>(i));
+      }
+    }
+    std::vector<double> batched_values(keys.size(), -1.0);
+    std::vector<int> batched_misses;
+    batched.LookupBatch(keys, batched_values.data(), &batched_misses);
+    ASSERT_EQ(single_misses, batched_misses) << "round " << round;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(single_values[i], batched_values[i]);
+    }
+    for (int i : single_misses) {
+      const double value = keys[static_cast<size_t>(i)].job_id * 10.0 +
+                           keys[static_cast<size_t>(i)].theta_cores_bits;
+      single_values[static_cast<size_t>(i)] = value;
+      batched_values[static_cast<size_t>(i)] = value;
+      single.Insert(keys[static_cast<size_t>(i)], value);
+    }
+    batched.InsertBatch(keys, batched_values.data(), batched_misses);
+    EXPECT_EQ(single.hits(), batched.hits());
+    EXPECT_EQ(single.misses(), batched.misses());
+    EXPECT_EQ(single.size(), batched.size());
+  }
+  EXPECT_GT(batched.hits(), 0u);
+  EXPECT_GT(batched.misses(), 0u);
+}
+
+TEST(PredictionMemoTest, GaugeTracksHitRatioAfterBatch) {
+  obs::MetricsRegistry registry;
+  PredictionMemo memo;
+  memo.set_obs(obs::Obs{&registry, nullptr});
+  std::vector<PredictionKey> keys;
+  for (int i = 0; i < 37; ++i) keys.push_back(JobKey(i));
+  std::vector<double> values(keys.size());
+  std::vector<int> misses;
+  memo.LookupBatch(keys, values.data(), &misses);
+  EXPECT_EQ(misses.size(), keys.size());
+  // Store every third key, then look all of them up again.
+  std::vector<int> stored;
+  for (int i = 0; i < 37; i += 3) stored.push_back(i);
+  memo.InsertBatch(keys, values.data(), stored);
+  misses.clear();
+  memo.LookupBatch(keys, values.data(), &misses);
+  EXPECT_EQ(memo.hits(), stored.size());
+  EXPECT_EQ(memo.misses(), 2 * keys.size() - stored.size());
+  EXPECT_EQ(registry.GetCounter("model.memo.hits")->value(), memo.hits());
+  EXPECT_EQ(registry.GetCounter("model.memo.misses")->value(),
+            memo.misses());
+  EXPECT_EQ(registry.GetGauge("model.memo.hit_ratio")->value(),
+            static_cast<double>(memo.hits()) /
+                static_cast<double>(memo.hits() + memo.misses()));
+}
+
+TEST(PredictionMemoTest, ConcurrentBatchStressKeepsValuesConsistent) {
+  // The batch-API variant of ConcurrentStressKeepsValuesConsistent: 8
+  // threads issue 24-key LookupBatch/InsertBatch rounds over overlapping
+  // keys; every hit must return the canonical value of its key. Run under
+  // TSan in CI.
+  PredictionMemo memo(1 << 12);
+  std::atomic<int> inconsistencies{0};
+  auto canonical = [](const PredictionKey& key) {
+    return static_cast<double>(key.job_id * 8 + key.stage_id);
+  };
+  auto worker = [&](int t) {
+    Rng rng(static_cast<uint64_t>(t) + 101);
+    std::vector<PredictionKey> keys(24);
+    std::vector<double> values(keys.size());
+    std::vector<int> misses;
+    for (int iter = 0; iter < 400; ++iter) {
+      for (PredictionKey& key : keys) {
+        key.job_id = static_cast<int32_t>(rng.UniformInt(0, 255));
+        key.stage_id = static_cast<int32_t>(rng.UniformInt(0, 7));
+      }
+      misses.clear();
+      memo.LookupBatch(keys, values.data(), &misses);
+      size_t next_miss = 0;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (next_miss < misses.size() &&
+            misses[next_miss] == static_cast<int>(i)) {
+          values[i] = canonical(keys[i]);
+          ++next_miss;
+        } else if (values[i] != canonical(keys[i])) {
+          inconsistencies.fetch_add(1);
+        }
+      }
+      memo.InsertBatch(keys, values.data(), misses);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) threads.emplace_back(worker, t);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(inconsistencies.load(), 0);
+  EXPECT_GT(memo.hits(), 0u);
+  EXPECT_EQ(memo.hits() + memo.misses(), 8u * 400u * 24u);
+  EXPECT_LE(memo.size(), memo.capacity());
+}
+
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> touched(257);
@@ -417,7 +594,7 @@ TEST(MlpBatchTest, ForwardBatchMatchesForwardPerRow) {
   Rng rng(9);
   Mlp mlp({7, 16, 16, 3}, &rng);
   Rng data_rng(10);
-  // 11 rows: exercises both the 4-row blocks and the tail.
+  // 11 rows: one padded 16-row panel.
   Mat x;
   x.Resize(11, 7);
   for (double& v : x.data) v = data_rng.Normal();

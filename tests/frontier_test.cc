@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,8 +22,14 @@
 #include "cluster/cluster.h"
 #include "common/thread_pool.h"
 #include "hbo/hbo.h"
+#include "model/prediction_cache.h"
+#include "moo/config_space.h"
+#include "moo/progressive_frontier.h"
+#include "moo/wun.h"
 #include "obs/metrics.h"
 #include "optimizer/frontier_cache.h"
+#include "optimizer/fuxi.h"
+#include "optimizer/ipa_clustered.h"
 #include "optimizer/raa.h"
 #include "optimizer/stage_optimizer.h"
 #include "service/ro_service.h"
@@ -465,6 +473,288 @@ TEST_F(FrontierFixture, IdenticalGridSweepsDedupWithinOneSolve) {
     EXPECT_TRUE(off.theta_of_instance[i] == on.theta_of_instance[i]);
     // All 8 identical instances end on the identical plan.
     EXPECT_TRUE(off.theta_of_instance[i] == off.theta_of_instance[0]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// RunRaa's flat batches against a per-group reference
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+bool SameBits(const ResourceConfig& a, const ResourceConfig& b) {
+  return Bits(a.cores) == Bits(b.cores) &&
+         Bits(a.memory_gb) == Bits(b.memory_gb);
+}
+
+struct ReferenceGroup {
+  std::vector<InstanceParetoPoint> frontier;
+  double lat0 = 0.0;  // predicted latency of keeping theta0
+};
+
+/// Test-only per-group reference for RunRaa: every group swept on its own,
+/// one PredictBatch per sweep, the way RunRaa predicted before it batched
+/// a whole solve. Compressed, the template sweep uses the cluster's
+/// canonical representative and a group whose representative differs
+/// re-ranks kCorrectionTopK (4) evenly spread template points plus theta0.
+/// No frontier cache, memo or within-solve dedup: each only ever returns
+/// what a fresh computation gives, so none may change a value.
+std::vector<ReferenceGroup> ReferenceGroupFrontiers(
+    const SchedulingContext& context, const StageDecision& placement,
+    const std::vector<FastMciGroup>& groups, bool compressed) {
+  const Cluster& cluster = *context.cluster;
+  const LatencyModel& model = *context.model;
+  std::vector<int> coresidents(static_cast<size_t>(cluster.size()), 0);
+  for (int machine : placement.machine_of_instance) {
+    ++coresidents[static_cast<size_t>(machine)];
+  }
+  InstanceMooSolver solver(context.cost_weights);
+  // Predicts `thetas`, plus theta0 unless bit-equal to one of them.
+  auto sweep = [&](int instance, const Machine& machine,
+                   const std::vector<ResourceConfig>& thetas,
+                   std::vector<double>* lats, double* lat0) {
+    Result<LatencyModel::EmbeddedInstance> embedded =
+        model.Embed(*context.stage, instance);
+    ASSERT_TRUE(embedded.ok());
+    std::vector<LatencyModel::PredictionCandidate> candidates;
+    int theta0_at = -1;
+    for (size_t t = 0; t < thetas.size(); ++t) {
+      candidates.push_back(
+          {thetas[t], machine.state(), machine.hardware().id});
+      if (theta0_at < 0 && SameBits(thetas[t], context.theta0)) {
+        theta0_at = static_cast<int>(t);
+      }
+    }
+    if (theta0_at < 0) {
+      candidates.push_back(
+          {context.theta0, machine.state(), machine.hardware().id});
+    }
+    lats->assign(candidates.size(), 0.0);
+    LatencyModel::BatchScratch scratch;
+    model.PredictBatch(embedded.value(), candidates, lats->data(), &scratch);
+    *lat0 = theta0_at >= 0 ? (*lats)[static_cast<size_t>(theta0_at)]
+                           : lats->back();
+  };
+  std::vector<ReferenceGroup> out;
+  for (const FastMciGroup& group : groups) {
+    const Machine& machine = cluster.machine(group.representative_machine);
+    const double share = static_cast<double>(
+        coresidents[static_cast<size_t>(group.representative_machine)]);
+    std::vector<ResourceConfig> grid;
+    for (const ResourceConfig& theta : FilterByCapacity(
+             Hbo::ResourcePlanCatalog(),
+             (machine.available_cores() + context.theta0.cores) / share,
+             (machine.available_memory_gb() + context.theta0.memory_gb) /
+                 share)) {
+      if (theta.cores >= context.theta0.cores * kPlanExplorationLow &&
+          theta.cores <= context.theta0.cores * kPlanExplorationHigh &&
+          theta.memory_gb >= context.theta0.memory_gb * kPlanExplorationLow &&
+          theta.memory_gb <= context.theta0.memory_gb * kPlanExplorationHigh) {
+        grid.push_back(theta);
+      }
+    }
+    if (grid.empty()) grid.push_back(context.theta0);
+    const int canonical = group.canonical_representative >= 0
+                              ? group.canonical_representative
+                              : group.representative;
+    ReferenceGroup ref;
+    std::vector<double> lats;
+    sweep(compressed ? canonical : group.representative, machine, grid,
+          &lats, &ref.lat0);
+    ref.frontier = solver.SolveExhaustive(lats.data(), grid);
+    if (compressed && group.representative != canonical) {
+      const int f = static_cast<int>(ref.frontier.size());
+      const int k = std::min(4, f);
+      std::vector<ResourceConfig> picked;
+      int last = -1;
+      for (int j = 0; j < k; ++j) {
+        const int idx = k == 1 ? 0
+                               : static_cast<int>(
+                                     (static_cast<long>(j) * (f - 1) +
+                                      (k - 1) / 2) /
+                                     (k - 1));
+        if (idx == last) continue;
+        last = idx;
+        picked.push_back(ref.frontier[static_cast<size_t>(idx)].theta);
+      }
+      sweep(group.representative, machine, picked, &lats, &ref.lat0);
+      ref.frontier = solver.SolveExhaustive(lats.data(), picked);
+    }
+    out.push_back(std::move(ref));
+  }
+  return out;
+}
+
+/// The rest of RunRaa (RAA-Path) over the reference frontiers: the stage
+/// frontier, WUN anchored at the incumbent, and the per-instance plan.
+std::vector<ResourceConfig> ReferencePlan(
+    const SchedulingContext& context, const std::vector<FastMciGroup>& groups,
+    const std::vector<ReferenceGroup>& refs, const RaaOptions& options) {
+  std::vector<std::vector<InstanceParetoPoint>> sets;
+  std::vector<double> multiplicity;
+  double default_latency = 0.0, default_cost = 0.0;
+  for (size_t g = 0; g < refs.size(); ++g) {
+    sets.push_back(refs[g].frontier);
+    const double members = static_cast<double>(groups[g].instances.size());
+    multiplicity.push_back(members);
+    default_latency = std::max(default_latency, refs[g].lat0);
+    default_cost +=
+        refs[g].lat0 * context.cost_weights.Rate(context.theta0) * members;
+  }
+  const std::vector<StageParetoPoint> stage = RaaPath(sets, multiplicity);
+  std::vector<std::vector<double>> all, dominating;
+  std::vector<int> dominating_index;
+  for (size_t i = 0; i < stage.size(); ++i) {
+    all.push_back({stage[i].latency, stage[i].cost});
+    if (stage[i].latency <= default_latency + 1e-12 &&
+        stage[i].cost <= default_cost + 1e-12) {
+      dominating.push_back(all.back());
+      dominating_index.push_back(static_cast<int>(i));
+    }
+  }
+  const int chosen =
+      dominating.empty()
+          ? WeightedUtopiaNearest(all, options.wun_weights)
+          : dominating_index[static_cast<size_t>(
+                WeightedUtopiaNearest(dominating, options.wun_weights))];
+  std::vector<ResourceConfig> plan(
+      static_cast<size_t>(context.stage->instance_count()), context.theta0);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const ResourceConfig& theta =
+        sets[g][static_cast<size_t>(
+                    stage[static_cast<size_t>(chosen)].choice[g])]
+            .theta;
+    for (int i : groups[g].instances) plan[static_cast<size_t>(i)] = theta;
+  }
+  return plan;
+}
+
+TEST_F(FrontierFixture, FlatBatchedSolveMatchesPerGroupReference) {
+  // RunRaa predicts a whole solve in two flat batches fanned in chunks;
+  // every group's frontier and the final plan must equal the per-group
+  // reference bit for bit, at any pool size, compressed or not, with no,
+  // a cold or a warm shared frontier cache, and with a warm memo.
+  const Stage& stage = WideStage();
+  const SchedulingContext base = MakeContext(stage);
+  const ClusteredIpaResult clustered = IpaClusteredSchedule(base);
+  ASSERT_TRUE(clustered.decision.feasible);
+  const StageDecision& placement = clustered.decision;
+  int corrected = 0;
+  for (const FastMciGroup& g : clustered.groups) {
+    if (g.canonical_representative >= 0 &&
+        g.canonical_representative != g.representative) {
+      ++corrected;
+    }
+  }
+  ASSERT_GT(corrected, 0) << "no group needs a correction; test is vacuous";
+  std::vector<FastMciGroup> per_instance;  // RaaClustering::kNone's groups
+  for (int i = 0; i < stage.instance_count(); ++i) {
+    FastMciGroup g;
+    g.instances = {i};
+    g.representative = i;
+    g.representative_machine =
+        placement.machine_of_instance[static_cast<size_t>(i)];
+    g.instance_cluster = i;
+    g.canonical_representative = i;
+    per_instance.push_back(std::move(g));
+  }
+
+  ThreadPool pool2(2), pool4(4);
+  PredictionMemo memo;
+  for (RaaClustering clustering :
+       {RaaClustering::kFastMci, RaaClustering::kNone}) {
+    const bool fast = clustering == RaaClustering::kFastMci;
+    const std::vector<FastMciGroup>& groups =
+        fast ? clustered.groups : per_instance;
+    RaaOptions options;
+    options.clustering = clustering;
+    for (bool compression : {false, true}) {
+      const std::vector<ReferenceGroup> refs =
+          ReferenceGroupFrontiers(base, placement, groups, compression);
+      const std::vector<ResourceConfig> plan =
+          ReferencePlan(base, groups, refs, options);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2,
+                               &pool4}) {
+        for (const char* cache_mode : {"none", "cold", "warm"}) {
+          SCOPED_TRACE(::testing::Message()
+                       << (fast ? "fast_mci" : "per_instance")
+                       << " compression=" << compression << " pool="
+                       << (pool == nullptr ? 0 : pool->size())
+                       << " cache=" << cache_mode);
+          SchedulingContext context = base;
+          context.frontier_compression = compression;
+          context.worker_pool = pool;
+          context.memo = &memo;
+          FrontierCache cache;
+          if (std::string(cache_mode) != "none") {
+            context.frontier_cache = &cache;
+          }
+          const std::vector<FastMciGroup>* given =
+              fast ? &clustered.groups : nullptr;
+          if (std::string(cache_mode) == "warm") {
+            ASSERT_TRUE(RunRaa(context, placement, given, options).ok);
+          }
+          const RaaResult result = RunRaa(context, placement, given, options);
+          ASSERT_TRUE(result.ok);
+          ASSERT_EQ(result.group_frontiers.size(), refs.size());
+          for (size_t g = 0; g < refs.size(); ++g) {
+            const std::vector<InstanceParetoPoint>& got =
+                result.group_frontiers[g];
+            ASSERT_EQ(got.size(), refs[g].frontier.size()) << "group " << g;
+            for (size_t p = 0; p < got.size(); ++p) {
+              const InstanceParetoPoint& want = refs[g].frontier[p];
+              EXPECT_TRUE(SameBits(got[p].theta, want.theta));
+              EXPECT_EQ(Bits(got[p].latency), Bits(want.latency));
+              EXPECT_EQ(Bits(got[p].cost), Bits(want.cost));
+            }
+          }
+          ASSERT_EQ(result.theta_of_instance.size(), plan.size());
+          for (size_t i = 0; i < plan.size(); ++i) {
+            EXPECT_TRUE(SameBits(result.theta_of_instance[i], plan[i]))
+                << "instance " << i;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(memo.hits(), 0u);
+}
+
+TEST_F(FrontierFixture, ExpiredDeadlineAbortsRaaOntoTheta0Rung) {
+  // An already-expired deadline: RunRaa aborts with no plan, and the
+  // ladder keeps a model-free (Fuxi) placement with every instance on
+  // theta0.
+  const Stage& stage = WideStage();
+  const ClusteredIpaResult clustered =
+      IpaClusteredSchedule(MakeContext(stage));
+  ASSERT_TRUE(clustered.decision.feasible);
+  SchedulingContext context = MakeContext(stage);
+  context.deadline = Deadline::After(0.0, [] { return 0.0; });
+  ASSERT_TRUE(context.deadline.expired());
+  for (bool compression : {false, true}) {
+    context.frontier_compression = compression;
+    const RaaResult raa = RunRaa(context, clustered.decision,
+                                 &clustered.groups, RaaOptions{});
+    EXPECT_FALSE(raa.ok);
+    EXPECT_TRUE(raa.theta_of_instance.empty());
+    EXPECT_TRUE(raa.stage_pareto.empty());
+    EXPECT_EQ(raa.recommended_index, -1);
+    EXPECT_EQ(raa.num_groups, static_cast<int>(clustered.groups.size()));
+  }
+
+  StageOptimizer::Config config = StageOptimizer::IpaRaaPathWithFallback();
+  config.placement = StageOptimizer::Placement::kFuxi;
+  const StageDecision decision = StageOptimizer(config).Optimize(context);
+  const StageDecision fuxi = FuxiSchedule(MakeContext(stage));
+  ASSERT_TRUE(decision.feasible);
+  EXPECT_EQ(decision.fallback, FallbackLevel::kTheta0);
+  EXPECT_EQ(decision.machine_of_instance, fuxi.machine_of_instance);
+  for (const ResourceConfig& theta : decision.theta_of_instance) {
+    EXPECT_TRUE(SameBits(theta, context.theta0));
   }
 }
 

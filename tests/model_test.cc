@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "model/gpr.h"
 #include "model/latency_model.h"
@@ -255,6 +256,87 @@ TEST(ModelVariantsTest, AllKindsTrainAndPredict) {
       EXPECT_GT(p, 0.0);
       EXPECT_TRUE(std::isfinite(p));
     }
+  }
+}
+
+// PredictRecords embeds each (stage, instance) once and predicts the GTN
+// and TLSTM kinds through PredictBatch: every value must equal per-record
+// Predict bit for bit, or model_wmape would move. Trained models, so the
+// standardizers are fitted; the records are a slice of every split.
+TEST(PredictRecordsTest, MatchesPerRecordPredictBitwiseForEveryKind) {
+  ExperimentEnv::Options options;
+  options.workload = WorkloadId::kA;
+  options.scale = 0.03;
+  options.train_model = false;
+  Result<std::unique_ptr<ExperimentEnv>> env = ExperimentEnv::Build(options);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  TraceDataset dataset = (*env)->dataset();
+  std::vector<int> records = (*env)->split().test;
+  records.insert(records.end(), (*env)->split().val.begin(),
+                 (*env)->split().val.end());
+  records.push_back(records.front());  // a repeat shares its embedding
+  // A plan far outside the training range: its standardized context leaves
+  // the +-10 band that Predict clamps to.
+  dataset.records.push_back(dataset.records[static_cast<size_t>(records[0])]);
+  dataset.records.back().theta.cores = 500.0;
+  records.push_back(static_cast<int>(dataset.records.size()) - 1);
+  for (ModelKind kind :
+       {ModelKind::kMciGtn, ModelKind::kMciTlstm, ModelKind::kMciQppnet,
+        ModelKind::kTlstmOriginal, ModelKind::kQppnetOriginal}) {
+    LatencyModel::Options mo;
+    mo.kind = kind;
+    mo.featurizer = Featurizer(ChannelMask{}, 10);
+    LatencyModel model(mo);
+    TrainOptions train;
+    train.epochs = 1;
+    train.max_train_samples = 400;
+    ASSERT_TRUE(
+        model.Train(dataset, (*env)->split().train, {}, train).ok());
+    Result<std::vector<double>> batched =
+        model.PredictRecords(dataset, records);
+    ASSERT_TRUE(batched.ok()) << ModelKindName(kind);
+    ASSERT_EQ(batched->size(), records.size());
+    int differing = 0;
+    for (size_t k = 0; k < records.size(); ++k) {
+      const InstanceRecord& r =
+          dataset.records[static_cast<size_t>(records[k])];
+      Result<double> one =
+          model.Predict(dataset.StageOf(r), r.instance_idx, r.theta,
+                        r.machine_state, r.hardware_type);
+      ASSERT_TRUE(one.ok());
+      if ((*batched)[k] != one.value()) ++differing;
+    }
+    EXPECT_EQ(differing, 0) << ModelKindName(kind) << " differs on "
+                            << differing << " of " << records.size();
+  }
+}
+
+// A bad record fails the whole call with the status per-record Predict
+// returns for it.
+TEST(PredictRecordsTest, InvalidRecordFailsLikePredict) {
+  ExperimentEnv::Options options;
+  options.workload = WorkloadId::kA;
+  options.scale = 0.03;
+  options.train_model = false;
+  Result<std::unique_ptr<ExperimentEnv>> env = ExperimentEnv::Build(options);
+  ASSERT_TRUE(env.ok()) << env.status().ToString();
+  TraceDataset dataset = (*env)->dataset();
+  const std::vector<int>& records = (*env)->split().test;
+  InstanceRecord& bad = dataset.records[static_cast<size_t>(records[1])];
+  bad.machine_state.cpu_util = std::nan("");
+  for (ModelKind kind : {ModelKind::kMciGtn, ModelKind::kMciTlstm,
+                         ModelKind::kMciQppnet}) {
+    LatencyModel::Options mo;
+    mo.kind = kind;
+    LatencyModel model(mo);
+    Result<double> one =
+        model.Predict(dataset.StageOf(bad), bad.instance_idx, bad.theta,
+                      bad.machine_state, bad.hardware_type);
+    ASSERT_FALSE(one.ok());
+    Result<std::vector<double>> batched =
+        model.PredictRecords(dataset, records);
+    ASSERT_FALSE(batched.ok()) << ModelKindName(kind);
+    EXPECT_EQ(batched.status().ToString(), one.status().ToString());
   }
 }
 
