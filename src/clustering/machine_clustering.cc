@@ -1,9 +1,10 @@
 #include "clustering/machine_clustering.h"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
+#include <cstdint>
+#include <limits>
 
+#include "common/logging.h"
 #include "common/math_utils.h"
 #include "featurize/discretize.h"
 
@@ -12,27 +13,47 @@ namespace fgro {
 std::vector<MachineClusterGroup> ClusterMachines(
     const Cluster& cluster, const std::vector<int>& machine_ids,
     int discretization_degree) {
-  using Key = std::tuple<int, int, int, int>;  // hw, dcpu, dmem, dio
-  std::map<Key, MachineClusterGroup> groups;
+  // One packed key per machine, ordered like the (hw, dcpu, dmem, dio)
+  // tuple: the hardware id with its sign bit flipped in the high word, the
+  // bucket indices (each in [0, dd)) in mixed radix dd in the low word.
+  const uint64_t dd =
+      static_cast<uint64_t>(std::max(1, discretization_degree));
+  FGRO_CHECK(dd * dd * dd <= (uint64_t{1} << 32)) << "dd " << dd;
+  struct Keyed {
+    uint64_t key;
+    int id;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(machine_ids.size());
   for (int id : machine_ids) {
-    const Machine& m = cluster.machine(id);
-    Key key{m.hardware().id,
-            DiscretizeIndex(m.state().cpu_util, discretization_degree),
-            DiscretizeIndex(m.state().mem_util, discretization_degree),
-            DiscretizeIndex(m.state().io_util, discretization_degree)};
-    MachineClusterGroup& g = groups[key];
+    const SystemState& s = cluster.machine(id).state();
+    const auto bucket = [&](double util) {
+      return static_cast<uint64_t>(
+          DiscretizeIndex(util, discretization_degree));
+    };
+    const uint64_t hw = static_cast<uint32_t>(
+        cluster.machine(id).hardware().id ^ std::numeric_limits<int>::min());
+    keyed.push_back(
+        {(hw << 32) | ((bucket(s.cpu_util) * dd + bucket(s.mem_util)) * dd +
+                       bucket(s.io_util)),
+         id});
+  }
+  // Stable: each group keeps its members in input order.
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+  std::vector<MachineClusterGroup> out;
+  for (size_t i = 0; i < keyed.size(); ++i) {
+    if (i == 0 || keyed[i].key != keyed[i - 1].key) out.emplace_back();
+    MachineClusterGroup& g = out.back();
+    const int id = keyed[i].id;
     g.machine_ids.push_back(id);
+    // The first member with the strictly greatest CPU utilization.
     if (g.representative < 0 ||
-        m.state().cpu_util >
+        cluster.machine(id).state().cpu_util >
             cluster.machine(g.representative).state().cpu_util) {
       g.representative = id;
     }
-  }
-  std::vector<MachineClusterGroup> out;
-  out.reserve(groups.size());
-  for (auto& [key, g] : groups) {
-    (void)key;
-    out.push_back(std::move(g));
   }
   return out;
 }

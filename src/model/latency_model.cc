@@ -59,10 +59,17 @@ void Standardizer::Fit(const std::vector<const Vec*>& rows) {
 void Standardizer::Apply(Vec* row) const {
   if (!fitted()) return;
   FGRO_CHECK(row->size() == mean.size());
-  for (size_t i = 0; i < row->size(); ++i) {
+  ApplyRange(row->data(), 0, row->size());
+}
+
+void Standardizer::ApplyRange(double* v, size_t first, size_t n) const {
+  if (!fitted()) return;
+  FGRO_CHECK(first + n <= mean.size());
+  for (size_t i = 0; i < n; ++i) {
     // Clamp to a wide band: values far outside the training distribution
     // carry no usable signal and would destabilize the network.
-    (*row)[i] = std::clamp(((*row)[i] - mean[i]) * inv_std[i], -10.0, 10.0);
+    v[i] = std::clamp((v[i] - mean[first + i]) * inv_std[first + i], -10.0,
+                      10.0);
   }
 }
 
@@ -507,6 +514,7 @@ void LatencyModel::set_obs(const obs::Obs& obs) {
   }
   if (obs.metrics == nullptr) {
     obs_predict_records_ = nullptr;
+    obs_embed_instances_ = nullptr;
     obs_predict_batch_calls_ = nullptr;
     obs_predict_batch_rows_ = nullptr;
     obs_predict_batch_size_ = nullptr;
@@ -514,6 +522,7 @@ void LatencyModel::set_obs(const obs::Obs& obs) {
   } else {
     obs_predict_records_ =
         obs.metrics->GetCounter("model.predict_records_calls");
+    obs_embed_instances_ = obs.metrics->GetCounter("model.embed_instances");
     obs_predict_batch_calls_ =
         obs.metrics->GetCounter("model.predict_batch_calls");
     obs_predict_batch_rows_ =
@@ -565,6 +574,30 @@ Result<std::vector<LatencyModel::EmbeddedInstance>> LatencyModel::EmbedBatch(
           tlstm_.Forward(samples[k].graph, samples[k].tree_root, &cache);
     }
   }
+  // The head input's leading [embedding | Ch2] columns are the same for
+  // every row of an instance: one panel pass sums them once per instance.
+  const int rows = static_cast<int>(out.size());
+  const int lead = predictor_.in_dim() - kContextDim;
+  Mat head;
+  head.Resize(rows, lead);
+  for (int k = 0; k < rows; ++k) {
+    const EmbeddedInstance& e = out[static_cast<size_t>(k)];
+    FGRO_CHECK(static_cast<int>(e.plan_embedding.size() +
+                                e.ch2_features.size()) == lead);
+    double* row = head.Row(k);
+    std::copy(e.plan_embedding.begin(), e.plan_embedding.end(), row);
+    std::copy(e.ch2_features.begin(), e.ch2_features.end(),
+              row + e.plan_embedding.size());
+  }
+  Mat prefix;
+  predictor_.FirstLayerPrefix(head, &prefix);
+  for (int k = 0; k < rows; ++k) {
+    out[static_cast<size_t>(k)].head_prefix.assign(
+        prefix.Row(k), prefix.Row(k) + prefix.cols);
+  }
+  if (obs_embed_instances_ != nullptr) {
+    obs_embed_instances_->Increment(static_cast<uint64_t>(rows));
+  }
   return out;
 }
 
@@ -593,15 +626,8 @@ double LatencyModel::PredictFromEmbedding(const EmbeddedInstance& embedded,
     Vec context =
         options_.featurizer.ContextFeatures(theta, state, hardware_type);
     // Standardize the context slice with the tail of the instance
-    // standardizer (indices kCh2Dim..).
-    if (inst_standardizer_.fitted()) {
-      for (size_t i = 0; i < context.size(); ++i) {
-        size_t j = static_cast<size_t>(kCh2Dim) + i;
-        context[i] =
-            (context[i] - inst_standardizer_.mean[j]) *
-            inst_standardizer_.inv_std[j];
-      }
-    }
+    // standardizer (indices kCh2Dim..), exactly as Predict does.
+    inst_standardizer_.ApplyRange(context.data(), kCh2Dim, context.size());
     // Assemble [embedding | ch2 | context] with one reservation; the old
     // copy-then-insert form reallocated the vector up to twice per call,
     // which dominated the RAA sweep's allocator traffic.
@@ -624,9 +650,9 @@ double LatencyModel::PredictFromEmbedding(const EmbeddedInstance& embedded,
 
 namespace {
 
-/// Chunk size for batched feature-matrix assembly: bounds the scratch at
-/// kBatchChunk x in_dim doubles (~100 KB for the default GTN head) so an
-/// IPA matrix with a million cells never materializes as one allocation.
+/// Chunk size for batched context-matrix assembly: bounds the scratch at
+/// kBatchChunk rows of context and activations so an IPA matrix with a
+/// million cells never materializes as one allocation.
 constexpr int kBatchChunk = 256;
 
 uint64_t DoubleBits(double v) {
@@ -718,43 +744,29 @@ void LatencyModel::PredictBatch(std::span<const PredictionQuery> queries,
     return;
   }
 
-  const int in_dim = predictor_.in_dim();
   const int pending_count = static_cast<int>(scratch->pending.size());
   if (obs_predict_batch_rows_ != nullptr) {
     obs_predict_batch_rows_->Increment(static_cast<uint64_t>(pending_count));
   }
+  const size_t hidden = static_cast<size_t>(predictor_.first_layer_dim());
   for (int start = 0; start < pending_count; start += kBatchChunk) {
     const int m = std::min(kBatchChunk, pending_count - start);
-    scratch->features.Resize(m, in_dim);
+    scratch->features.Resize(m, kContextDim);
+    scratch->starts.resize(static_cast<size_t>(m));
     for (int r = 0; r < m; ++r) {
       const PredictionQuery& q = queries[scratch->pending[start + r]];
-      const EmbeddedInstance& e = *q.embedded;
-      FGRO_CHECK(static_cast<int>(e.plan_embedding.size() +
-                                  e.ch2_features.size()) +
-                     kContextDim ==
-                 in_dim);
-      double* row = scratch->features.Row(r);
-      std::memcpy(row, e.plan_embedding.data(),
-                  e.plan_embedding.size() * sizeof(double));
-      double* cursor = row + e.plan_embedding.size();
-      std::memcpy(cursor, e.ch2_features.data(),
-                  e.ch2_features.size() * sizeof(double));
-      cursor += e.ch2_features.size();
+      FGRO_CHECK(q.embedded->head_prefix.size() == hidden);
+      scratch->starts[static_cast<size_t>(r)] =
+          q.embedded->head_prefix.data();
+      double* context = scratch->features.Row(r);
       ContextFeatureRowInto(q.candidate.theta, q.candidate.state,
                             q.candidate.hardware_type,
-                            options_.featurizer.mask(), dd, cursor);
-      // Same (unclamped) tail standardization as PredictFromEmbedding —
-      // identical operations in identical order keeps rows bit-identical
-      // to the scalar path.
-      if (inst_standardizer_.fitted()) {
-        for (int i = 0; i < kContextDim; ++i) {
-          const size_t j = static_cast<size_t>(kCh2Dim + i);
-          cursor[i] = (cursor[i] - inst_standardizer_.mean[j]) *
-                      inst_standardizer_.inv_std[j];
-        }
-      }
+                            options_.featurizer.mask(), dd, context);
+      // Same tail standardization as PredictFromEmbedding.
+      inst_standardizer_.ApplyRange(context, kCh2Dim, kContextDim);
     }
-    const Mat& y = predictor_.ForwardBatch(scratch->features, &scratch->mlp);
+    const Mat& y = predictor_.ForwardBatchFrom(scratch->features,
+                                               scratch->starts, &scratch->mlp);
     for (int r = 0; r < m; ++r) {
       const int i = scratch->pending[start + r];
       const double pred_log = Clamp(y.Row(r)[0], -2.0, 12.5);
@@ -836,29 +848,6 @@ Result<std::vector<double>> LatencyModel::PredictRecords(
   out.resize(indices.size());
   BatchScratch scratch;
   PredictBatch(queries, out.data(), &scratch);
-  // PredictBatch standardizes the context tail without the +-10 clamp that
-  // Predict's Standardizer::Apply takes; a record whose tail leaves that
-  // band is predicted per record, so every value equals Predict's.
-  if (!inst_standardizer_.fitted()) return out;
-  double context[kContextDim];
-  for (size_t k = 0; k < indices.size(); ++k) {
-    const InstanceRecord& r = dataset.records[static_cast<size_t>(indices[k])];
-    ContextFeatureRowInto(r.theta, r.machine_state, r.hardware_type,
-                          options_.featurizer.mask(), dd, context);
-    bool clamps = false;
-    for (int i = 0; i < kContextDim; ++i) {
-      const size_t j = static_cast<size_t>(kCh2Dim + i);
-      const double z =
-          (context[i] - inst_standardizer_.mean[j]) *
-          inst_standardizer_.inv_std[j];
-      clamps = clamps || z < -10.0 || z > 10.0;
-    }
-    if (!clamps) continue;
-    Result<double> pred = Predict(dataset.StageOf(r), r.instance_idx, r.theta,
-                                  r.machine_state, r.hardware_type);
-    if (!pred.ok()) return pred.status();
-    out[k] = pred.value();
-  }
   return out;
 }
 

@@ -38,6 +38,9 @@ struct Standardizer {
   Vec inv_std;
   void Fit(const std::vector<const Vec*>& rows);
   void Apply(Vec* row) const;
+  /// Apply over a slice: standardizes v[0..n) as dimensions first..first+n
+  /// of a row. Every inference path standardizes through this one function.
+  void ApplyRange(double* v, size_t first, size_t n) const;
   bool fitted() const { return !mean.empty(); }
 };
 
@@ -105,14 +108,20 @@ class LatencyModel {
   struct EmbeddedInstance {
     Vec plan_embedding;       // standardized-model-space embedding
     Vec ch2_features;         // standardized Channel 2 slice
+    /// The head's first-layer partial sums over [plan_embedding |
+    /// ch2_features] (Mlp::FirstLayerPrefix): PredictBatch resumes every row
+    /// of this instance from it. Empty for QPPNet-style kinds.
+    Vec head_prefix;
     const Stage* stage = nullptr;
     int instance_idx = 0;
   };
   /// Embeds the instances `instance_ids` of one stage together: every plan
   /// graph is a block of rows in one batched GTN forward (TLSTM embeds one
-  /// tree at a time). out[k] is bit-identical to Embed(stage,
-  /// instance_ids[k]) — a graph's rows never mix with another's — so callers
-  /// may batch and chunk freely. Fails if any instance fails validation.
+  /// tree at a time), and every head prefix a row of one panel pass. out[k]
+  /// is bit-identical to Embed(stage, instance_ids[k]) — a graph's rows
+  /// never mix with another's — so callers may batch and chunk freely. Fails
+  /// if any instance fails validation. With obs wired, counts the embedded
+  /// instances in model.embed_instances.
   Result<std::vector<EmbeddedInstance>> EmbedBatch(
       const Stage& stage, const std::vector<int>& instance_ids) const;
   /// A batch of one.
@@ -140,7 +149,8 @@ class LatencyModel {
   /// one scratch across calls makes batched inference allocation-free once
   /// the buffers are warm. Not shareable across concurrent calls.
   struct BatchScratch {
-    Mat features;
+    Mat features;                      // the standardized context columns
+    std::vector<const double*> starts; // each row's EmbeddedInstance prefix
     MlpScratch mlp;
     std::vector<int> pending;
     std::vector<PredictionKey> keys;       // one memo key per query
@@ -149,12 +159,13 @@ class LatencyModel {
 
   /// Batched inference for the optimizer hot path. Writes
   /// out[i] = PredictFromEmbedding(*queries[i].embedded, candidate...)
-  /// bit-identically: the feature matrix keeps each row's operation order
-  /// (assemble -> standardize tail -> MLP forward with ascending-index
-  /// accumulation), so batching never changes a replay. The feature matrix
-  /// is assembled in bounded chunks, so arbitrarily large batches run in
-  /// O(chunk) extra memory. QPPNet-style kinds (no reusable plan embedding)
-  /// fall back to per-row PredictFromEmbedding.
+  /// bit-identically: each row assembles and standardizes only its context
+  /// columns and resumes the head's first layer from its instance's
+  /// head_prefix, continuing the ascending-column chain the scalar forward
+  /// computes from the bias, so batching never changes a replay. The
+  /// context matrix is assembled in bounded chunks, so arbitrarily large
+  /// batches run in O(chunk) extra memory. QPPNet-style kinds (no reusable
+  /// plan embedding) fall back to per-row PredictFromEmbedding.
   ///
   /// If `memo` is non-null every row's key (the embedding identity and the
   /// discretized candidate — exact, see PredictionKey) is built once,
@@ -286,6 +297,7 @@ class LatencyModel {
   obs::Counter* obs_predict_fast_calls_[kNumHardwareTypes] = {};
   obs::Histogram* obs_predict_seconds_[kNumHardwareTypes] = {};
   obs::Counter* obs_predict_records_ = nullptr;
+  obs::Counter* obs_embed_instances_ = nullptr;
   obs::Counter* obs_predict_batch_calls_ = nullptr;
   obs::Counter* obs_predict_batch_rows_ = nullptr;
   obs::Histogram* obs_predict_batch_size_ = nullptr;

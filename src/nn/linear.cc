@@ -35,27 +35,41 @@ inline V8 LoadV8(const double* p) {
   return v;
 }
 
-/// One 16-row panel block of y = x W^T + b. `panel` holds the 16 input
-/// rows column-major (panel[c * 16 + lane] = feature c of row lane), so
-/// each weight element is broadcast against 16 contiguous doubles — and
-/// each weight row is streamed once per 16 batch rows. Lane `lane`
-/// accumulates bias + sum over ascending c — the exact scalar-path chain;
-/// the vector ops only run independent chains side by side: 16 lanes of
-/// two weight rows at a time, so four accumulators hide the add latency.
+/// One 16-row panel block of y = x W^T + b over the weight columns
+/// [c0, c0 + cols). `panel` holds the 16 input rows' slice of those columns
+/// column-major (panel[c * 16 + lane] = feature c0 + c of row lane), so each
+/// weight element is broadcast against 16 contiguous doubles — and each
+/// weight row is streamed once per 16 batch rows. `w` points at column c0 of
+/// weight row 0 and `stride` is the full row length. Lane `lane` starts from
+/// b[r], or from start[lane][r] when `start` is non-null, and adds the
+/// columns in ascending order — the exact scalar-path chain, resumable at any
+/// column; the vector ops only run independent chains side by side: 16 lanes
+/// of two weight rows at a time, so four accumulators hide the add latency.
 FGRO_KERNEL_CLONES
-void GemmPanelKernel(const double* panel, const double* w, const double* b,
-                     int in, int out, double* const* y_rows) {
+void GemmPanelKernel(const double* panel, const double* w, int stride,
+                     int cols, const double* b, const double* const* start,
+                     int out, double* const* y_rows) {
   // With an odd `out`, the last pass computes the last row twice.
   for (int r = 0; r < out; r += 2) {
     const int r1 = std::min(r + 1, out - 1);
-    const double* w0 = w + static_cast<size_t>(r) * static_cast<size_t>(in);
-    const double* w1 = w + static_cast<size_t>(r1) * static_cast<size_t>(in);
+    const double* w0 =
+        w + static_cast<size_t>(r) * static_cast<size_t>(stride);
+    const double* w1 =
+        w + static_cast<size_t>(r1) * static_cast<size_t>(stride);
     V8 a00 = {b[r], b[r], b[r], b[r], b[r], b[r], b[r], b[r]};
     V8 a01 = a00;
     V8 a10 = {b[r1], b[r1], b[r1], b[r1], b[r1], b[r1], b[r1], b[r1]};
     V8 a11 = a10;
+    if (start != nullptr) {
+      for (int lane = 0; lane < 8; ++lane) {
+        a00[lane] = start[lane][r];
+        a01[lane] = start[lane + 8][r];
+        a10[lane] = start[lane][r1];
+        a11[lane] = start[lane + 8][r1];
+      }
+    }
     const double* p = panel;
-    for (int c = 0; c < in; ++c, p += 16) {
+    for (int c = 0; c < cols; ++c, p += 16) {
       const V8 lo = LoadV8(p);
       const V8 hi = LoadV8(p + 8);
       const double x0 = w0[c];
@@ -186,37 +200,52 @@ void Linear::ForwardInto(const Vec& x, Vec* y) const {
 
 void Linear::ForwardBatch(const Mat& x, Mat* y) const {
   FGRO_CHECK(x.cols == weight_.cols) << x.cols << " vs " << weight_.cols;
+  ForwardRange(x, 0, {}, y);
+}
+
+void Linear::ForwardRange(const Mat& x, int c0,
+                          std::span<const double* const> start,
+                          Mat* y) const {
   const int in = weight_.cols;
   const int out = weight_.rows;
+  const int cols = x.cols;
+  FGRO_CHECK(c0 >= 0 && c0 + cols <= in) << c0 << "+" << cols << " vs " << in;
+  FGRO_CHECK(start.empty() || static_cast<int>(start.size()) == x.rows);
   y->Resize(x.rows, out);
-  const double* w = weight_.value.data();
+  const double* w = weight_.value.data() + c0;
   const double* b = bias_.value.data();
   int i = 0;
 #ifdef FGRO_HAVE_VEC
   // 16-row panels: each block's inputs are repacked column-major
-  // (panel[c * 16 + lane] = row `i + lane`, feature c) so GemmPanelKernel
-  // can run 16 independent accumulator chains in SIMD lanes. Bit-identity
-  // constrains each chain's order, not the chains' interleaving, so the
-  // lanes are legal. A short last panel is padded with zero rows whose
-  // outputs land in a discard row, so every row takes the SIMD kernel.
+  // (panel[c * 16 + lane] = row `i + lane`, feature c0 + c) so
+  // GemmPanelKernel can run 16 independent accumulator chains in SIMD lanes.
+  // Bit-identity constrains each chain's order, not the chains'
+  // interleaving, so the lanes are legal. A short last panel is padded with
+  // zero rows (resuming from the panel's first start row) whose outputs land
+  // in a discard row, so every row takes the SIMD kernel.
   constexpr int kLanes = 16;
   static thread_local std::vector<double> panel;
   static thread_local std::vector<double> discard;
-  panel.resize(static_cast<size_t>(kLanes) * static_cast<size_t>(in));
+  panel.resize(static_cast<size_t>(kLanes) * static_cast<size_t>(cols));
   discard.resize(static_cast<size_t>(out));
   double* pd = panel.data();
   for (; i < x.rows; i += kLanes) {
     double* y_rows[kLanes];
+    const double* start_rows[kLanes];
     for (int lane = 0; lane < kLanes; ++lane) {
       const bool valid = i + lane < x.rows;
       const double* xr = valid ? x.Row(i + lane) : nullptr;
-      for (int c = 0; c < in; ++c) {
+      for (int c = 0; c < cols; ++c) {
         pd[static_cast<size_t>(c) * kLanes + static_cast<size_t>(lane)] =
             valid ? xr[c] : 0.0;
       }
       y_rows[lane] = valid ? y->Row(i + lane) : discard.data();
+      if (!start.empty()) {
+        start_rows[lane] = start[static_cast<size_t>(valid ? i + lane : i)];
+      }
     }
-    GemmPanelKernel(pd, w, b, in, out, y_rows);
+    GemmPanelKernel(pd, w, in, cols, b, start.empty() ? nullptr : start_rows,
+                    out, y_rows);
   }
 #endif
   for (; i < x.rows; ++i) {
@@ -224,8 +253,8 @@ void Linear::ForwardBatch(const Mat& x, Mat* y) const {
     double* yr = y->Row(i);
     for (int r = 0; r < out; ++r) {
       const double* wr = w + static_cast<size_t>(r) * static_cast<size_t>(in);
-      double acc = b[r];
-      for (int c = 0; c < in; ++c) acc += wr[c] * xr[c];
+      double acc = start.empty() ? b[r] : start[static_cast<size_t>(i)][r];
+      for (int c = 0; c < cols; ++c) acc += wr[c] * xr[c];
       yr[r] = acc;
     }
   }

@@ -1,6 +1,7 @@
 #ifndef FGRO_NN_LINEAR_H_
 #define FGRO_NN_LINEAR_H_
 
+#include <span>
 #include <vector>
 
 #include "nn/mat.h"
@@ -28,6 +29,16 @@ class Linear {
   /// interleaves *independent* accumulator chains for ILP. `y` must not
   /// alias `x`.
   void ForwardBatch(const Mat& x, Mat* y) const;
+  /// ForwardBatch over the input columns [c0, c0 + x.cols), for inputs
+  /// whose leading columns are shared by many rows: row i's accumulators
+  /// start from start[i] (out_dim doubles) instead of the bias, or from the
+  /// bias when `start` is empty. Each output element continues the scalar
+  /// path's ascending-column chain, so a range over [0, c) whose outputs
+  /// start a range over [c, in_dim) is bit-identical to ForwardBatch over
+  /// the whole row. ForwardBatch is the full range from the bias. `y` must
+  /// not alias `x` or any start row.
+  void ForwardRange(const Mat& x, int c0,
+                    std::span<const double* const> start, Mat* y) const;
   /// `x` must be the same input passed to Forward.
   Vec Backward(const Vec& x, const Vec& dy);
   /// Accumulates into an existing dx instead of allocating (hot paths).

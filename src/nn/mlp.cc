@@ -48,11 +48,27 @@ void Mlp::ForwardInto(const Vec& x, Vec* out, MlpVecScratch* scratch) const {
 }
 
 const Mat& Mlp::ForwardBatch(const Mat& x, MlpScratch* scratch) const {
+  return ForwardBatchFrom(x, {}, scratch);
+}
+
+void Mlp::FirstLayerPrefix(const Mat& head, Mat* prefix) const {
   FGRO_CHECK(!layers_.empty());
-  const Mat* in = &x;
+  layers_.front().ForwardRange(head, 0, {}, prefix);
+}
+
+const Mat& Mlp::ForwardBatchFrom(const Mat& tail,
+                                 std::span<const double* const> start,
+                                 MlpScratch* scratch) const {
+  FGRO_CHECK(!layers_.empty());
+  FGRO_CHECK(tail.rows == 0 || !start.empty() || tail.cols == in_dim());
+  const Mat* in = &tail;
   for (size_t l = 0; l < layers_.size(); ++l) {
     Mat* dst = in == &scratch->a ? &scratch->b : &scratch->a;
-    layers_[l].ForwardBatch(*in, dst);
+    if (l == 0) {
+      layers_[0].ForwardRange(tail, in_dim() - tail.cols, start, dst);
+    } else {
+      layers_[l].ForwardBatch(*in, dst);
+    }
     if (l + 1 < layers_.size()) ReluInPlace(dst);
     in = dst;
   }

@@ -1,6 +1,7 @@
 #ifndef FGRO_NN_MLP_H_
 #define FGRO_NN_MLP_H_
 
+#include <span>
 #include <vector>
 
 #include "nn/linear.h"
@@ -63,6 +64,17 @@ class Mlp {
   /// matrix holding the final activations (x.rows x out_dim). Row i is
   /// bit-identical to Forward(row i). No allocation once scratch is warm.
   const Mat& ForwardBatch(const Mat& x, MlpScratch* scratch) const;
+  /// The first layer's partial sums over an input's leading columns: row i
+  /// of `prefix` is bias + W[:, 0..head.cols) head_i, in ForwardBatch's
+  /// accumulation order. For inputs whose leading columns many rows share.
+  void FirstLayerPrefix(const Mat& head, Mat* prefix) const;
+  /// ForwardBatch resumed after FirstLayerPrefix: `tail` holds each row's
+  /// last tail.cols input columns and start[i] its first-layer prefix over
+  /// the columns before them. Row i is bit-identical to ForwardBatch on the
+  /// whole row. An empty `start` with a full-width `tail` is ForwardBatch.
+  const Mat& ForwardBatchFrom(const Mat& tail,
+                              std::span<const double* const> start,
+                              MlpScratch* scratch) const;
 
   /// Batched training forward: ForwardBatch that keeps every layer's output
   /// in `cache` for BackwardBatch. `x` must stay alive until then.
@@ -81,6 +93,10 @@ class Mlp {
   int in_dim() const { return layers_.empty() ? 0 : layers_.front().in_dim(); }
   int out_dim() const {
     return layers_.empty() ? 0 : layers_.back().out_dim();
+  }
+  /// Width of a FirstLayerPrefix row.
+  int first_layer_dim() const {
+    return layers_.empty() ? 0 : layers_.front().out_dim();
   }
 
  private:

@@ -15,8 +15,8 @@ namespace fgro {
 
 namespace {
 
-/// Rows per EmbedBatch call in EmbedInstances: large enough to fill the
-/// 16-row GEMM panels with a few plan graphs' nodes, small enough that a
+/// Rows per EmbedBatch call in EmbeddingTable::Embed: large enough to fill
+/// the 16-row GEMM panels with a few plan graphs' nodes, small enough that a
 /// wide stage still fans across the worker pool.
 constexpr int kEmbedChunk = 32;
 
@@ -26,13 +26,23 @@ constexpr int kPredictChunk = 256;
 
 }  // namespace
 
-bool EmbedInstances(const SchedulingContext& context,
-                    const std::vector<int>& instance_ids,
-                    std::vector<LatencyModel::EmbeddedInstance>* out) {
-  const int m = static_cast<int>(instance_ids.size());
-  out->resize(static_cast<size_t>(m));
-  // Each chunk's slots are written by exactly one body and read only after
-  // the fan completes.
+bool EmbeddingTable::Embed(const SchedulingContext& context,
+                           const std::vector<int>& instance_ids) {
+  if (stage_ == nullptr) {
+    stage_ = context.stage;
+    entries_.resize(static_cast<size_t>(stage_->instance_count()));
+    filled_.assign(entries_.size(), 0);
+  }
+  FGRO_CHECK(context.stage == stage_) << "one table per stage view";
+  std::vector<int> missing;
+  for (int id : instance_ids) {
+    if (!filled_.at(static_cast<size_t>(id))) missing.push_back(id);
+  }
+  std::sort(missing.begin(), missing.end());
+  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
+  const int m = static_cast<int>(missing.size());
+  // Each chunk's entries are written by exactly one body and read only
+  // after the fan completes.
   const int chunks = (m + kEmbedChunk - 1) / kEmbedChunk;
   std::atomic<bool> failed{false};
   ParallelFor(context.worker_pool, chunks, [&](int chunk) {
@@ -45,17 +55,25 @@ bool EmbedInstances(const SchedulingContext& context,
     const int end = std::min(m, begin + kEmbedChunk);
     Result<std::vector<LatencyModel::EmbeddedInstance>> batch =
         context.model->EmbedBatch(
-            *context.stage,
-            std::vector<int>(instance_ids.begin() + begin,
-                             instance_ids.begin() + end));
+            *stage_, std::vector<int>(missing.begin() + begin,
+                                      missing.begin() + end));
     if (!batch.ok()) {
       failed.store(true, std::memory_order_relaxed);
       return;
     }
-    std::move(batch.value().begin(), batch.value().end(),
-              out->begin() + begin);
+    for (int k = begin; k < end; ++k) {
+      const size_t id = static_cast<size_t>(missing[static_cast<size_t>(k)]);
+      entries_[id] = std::move(batch.value()[static_cast<size_t>(k - begin)]);
+      filled_[id] = 1;
+    }
   });
   return !failed.load();
+}
+
+const LatencyModel::EmbeddedInstance& EmbeddingTable::at(int instance) const {
+  FGRO_CHECK(filled_.at(static_cast<size_t>(instance)))
+      << "instance " << instance << " was never embedded";
+  return entries_[static_cast<size_t>(instance)];
 }
 
 bool PredictQueries(const SchedulingContext& context,
@@ -94,6 +112,7 @@ bool PredictQueries(const SchedulingContext& context,
 bool BuildBplMatrix(const SchedulingContext& context,
                     const std::vector<int>& instance_rows,
                     const std::vector<int>& machine_cols,
+                    EmbeddingTable* embeddings,
                     std::vector<std::vector<double>>* L) {
   const Cluster& cluster = *context.cluster;
   const int m = static_cast<int>(instance_rows.size());
@@ -102,18 +121,19 @@ bool BuildBplMatrix(const SchedulingContext& context,
             std::vector<double>(static_cast<size_t>(n)));
 
   // Embed every row first: the plan-graph pass is the per-row cost.
-  std::vector<LatencyModel::EmbeddedInstance> embedded;
-  if (!EmbedInstances(context, instance_rows, &embedded)) return false;
+  if (!embeddings->Embed(context, instance_rows)) return false;
 
   // The whole matrix as one flat batch.
   std::vector<LatencyModel::PredictionQuery> queries;
   queries.reserve(static_cast<size_t>(m) * static_cast<size_t>(n));
   for (int i = 0; i < m; ++i) {
+    const LatencyModel::EmbeddedInstance* embedded =
+        &embeddings->at(instance_rows[static_cast<size_t>(i)]);
     for (int j = 0; j < n; ++j) {
       const Machine& machine =
           cluster.machine(machine_cols[static_cast<size_t>(j)]);
       queries.push_back(LatencyModel::PredictionQuery{
-          &embedded[static_cast<size_t>(i)],
+          embedded,
           {context.theta0, machine.state(), machine.hardware().id}});
     }
   }
@@ -215,8 +235,10 @@ double ColumnOrderViolationRate(const std::vector<std::vector<double>>& L,
   return samples > 0 ? static_cast<double>(violations) / samples : 0.0;
 }
 
-StageDecision IpaSchedule(const SchedulingContext& context) {
+StageDecision IpaSchedule(const SchedulingContext& context,
+                          EmbeddingTable* embeddings) {
   Stopwatch timer;
+  EmbeddingTable local;
   StageDecision decision;
   const Stage& stage = *context.stage;
   const Cluster& cluster = *context.cluster;
@@ -240,7 +262,8 @@ StageDecision IpaSchedule(const SchedulingContext& context) {
   std::vector<int> instance_rows(static_cast<size_t>(m));
   std::iota(instance_rows.begin(), instance_rows.end(), 0);
   std::vector<std::vector<double>> L;
-  if (!BuildBplMatrix(context, instance_rows, candidates, &L)) {
+  if (!BuildBplMatrix(context, instance_rows, candidates,
+                      embeddings != nullptr ? embeddings : &local, &L)) {
     decision.solve_seconds = timer.ElapsedSeconds();
     return decision;
   }

@@ -5,14 +5,45 @@
 
 namespace fgro {
 
+/// The plan embeddings (with head prefixes) of one solve, indexed by
+/// instance of the stage it decides and filled on first use, so no instance
+/// is embedded twice in a solve: RAA reuses the canonical representatives
+/// IPA embedded. StageOptimizer's OptimizeImpl owns one per solve and hands
+/// it to IPA and RAA; sharded refinement keeps its own. A shard or reduced
+/// reconfiguration view renumbers instances (and changes the stage width
+/// the embedding sees), so each view's solve has its own table. Entries
+/// never move once filled: references from at() stay valid for the table's
+/// lifetime.
+class EmbeddingTable {
+ public:
+  /// Embeds every instance of `instance_ids` not in the table yet: one
+  /// LatencyModel::EmbedBatch per chunk of missing ids, the chunks fanned
+  /// across context.worker_pool when set, the deadline checked before each.
+  /// An embedding does not depend on its chunk, so the table is
+  /// byte-identical at any thread count. Returns false when the deadline
+  /// expired or an embedding failed; entries filled so far stay valid. Every
+  /// call must pass the same context.stage.
+  bool Embed(const SchedulingContext& context,
+             const std::vector<int>& instance_ids);
+  /// The embedding of `instance`, which an Embed call must have filled.
+  const LatencyModel::EmbeddedInstance& at(int instance) const;
+
+ private:
+  const Stage* stage_ = nullptr;
+  std::vector<LatencyModel::EmbeddedInstance> entries_;
+  std::vector<char> filled_;  // not vector<bool>: chunks write concurrently
+};
+
 /// Intelligent Placement Advisor, Algorithm 1: build the full m x n latency
 /// matrix with the fine-grained model under the uniform resource plan
 /// theta0, then greedily match the instance with the largest
 /// best-possible-latency (BPL) to its best machine, updating BPLs whenever a
 /// machine's capacity is exhausted. Optimal under the column-order
 /// assumption (Theorem 5.1). This is the unclustered IPA(Org) of Expt 8 —
-/// exact but with an m x n model-inference bill.
-StageDecision IpaSchedule(const SchedulingContext& context);
+/// exact but with an m x n model-inference bill. Embeds into `embeddings`
+/// (null: a table local to the call).
+StageDecision IpaSchedule(const SchedulingContext& context,
+                          EmbeddingTable* embeddings = nullptr);
 
 /// Exposed for tests and the clustered variant: runs the BPL greedy loop on
 /// an explicit latency matrix. `capacity[j]` is how many instances machine
@@ -20,16 +51,6 @@ StageDecision IpaSchedule(const SchedulingContext& context);
 /// feasible matching exists.
 std::vector<int> IpaGreedyMatch(const std::vector<std::vector<double>>& L,
                                 std::vector<int> capacity);
-
-/// Embeds the instances `instance_ids` of context.stage into (*out)[k]: one
-/// LatencyModel::EmbedBatch per chunk of rows, the chunks fanned across
-/// context.worker_pool when set. A row's embedding does not depend on its
-/// chunk, so the result is byte-identical at any thread count. Returns
-/// false when the deadline expired or an embedding failed, in which case
-/// *out is unspecified. Shared by IPA, RAA and sharded refinement.
-bool EmbedInstances(const SchedulingContext& context,
-                    const std::vector<int>& instance_ids,
-                    std::vector<LatencyModel::EmbeddedInstance>* out);
 
 /// Predicts every query into (*out)[k] through LatencyModel::PredictBatch,
 /// memoized via context.memo: 256-row chunks, fanned across
@@ -45,7 +66,7 @@ bool PredictQueries(const SchedulingContext& context,
 /// Shared by IPA and its clustered variant: fills (*L)[i][j] with the
 /// predicted latency of stage instance instance_rows[i] on machine
 /// machine_cols[j] (a cluster machine id) under theta0. The rows are
-/// embedded together (EmbedInstances) and the whole matrix becomes one
+/// embedded into `embeddings` first, and the whole matrix becomes one
 /// PredictQueries call, bit-identical to per-cell PredictFromEmbedding
 /// calls.
 /// Returns false when the deadline expired or an embedding failed, in
@@ -53,6 +74,7 @@ bool PredictQueries(const SchedulingContext& context,
 bool BuildBplMatrix(const SchedulingContext& context,
                     const std::vector<int>& instance_rows,
                     const std::vector<int>& machine_cols,
+                    EmbeddingTable* embeddings,
                     std::vector<std::vector<double>>* L);
 
 /// Empirically checks Theorem 5.1's column-order assumption on a latency

@@ -11,8 +11,10 @@
 
 namespace fgro {
 
-ClusteredIpaResult IpaClusteredSchedule(const SchedulingContext& context) {
+ClusteredIpaResult IpaClusteredSchedule(const SchedulingContext& context,
+                                        EmbeddingTable* embeddings) {
   Stopwatch timer;
+  EmbeddingTable local;
   ClusteredIpaResult result;
   StageDecision& decision = result.decision;
   const Stage& stage = *context.stage;
@@ -59,7 +61,8 @@ ClusteredIpaResult IpaClusteredSchedule(const SchedulingContext& context) {
         mach_clusters[static_cast<size_t>(j)].representative;
   }
   std::vector<std::vector<double>> L;
-  if (!BuildBplMatrix(context, instance_rows, machine_cols, &L)) {
+  if (!BuildBplMatrix(context, instance_rows, machine_cols,
+                      embeddings != nullptr ? embeddings : &local, &L)) {
     decision.solve_seconds = timer.ElapsedSeconds();
     return result;
   }

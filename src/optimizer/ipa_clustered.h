@@ -13,6 +13,8 @@ namespace fgro {
 /// sub-clusters of Appendix E.1 — they fall out of clustered IPA for free.
 /// `instances` are sorted by descending input rows; the first one is the
 /// representative (largest rows, conservative latency).
+class EmbeddingTable;  // optimizer/ipa.h
+
 struct FastMciGroup {
   std::vector<int> instances;
   int representative = -1;
@@ -40,8 +42,10 @@ struct ClusteredIpaResult {
 /// rows, machine clustering on discretized state + hardware, then the BPL
 /// greedy over the reduced m' x n' latency matrix, dispatching delta =
 /// min(remaining instances, remaining machine-cluster slots) heaviest
-/// instances at each step. O(m log m + n log n) overall.
-ClusteredIpaResult IpaClusteredSchedule(const SchedulingContext& context);
+/// instances at each step. O(m log m + n log n) overall. Embeds the
+/// representatives into `embeddings` (null: a table local to the call).
+ClusteredIpaResult IpaClusteredSchedule(const SchedulingContext& context,
+                                        EmbeddingTable* embeddings = nullptr);
 
 }  // namespace fgro
 

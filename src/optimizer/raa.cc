@@ -193,8 +193,11 @@ struct GroupPrep {
 RaaResult RunRaa(const SchedulingContext& context,
                  const StageDecision& placement,
                  const std::vector<FastMciGroup>* fast_mci_groups,
-                 const RaaOptions& options, int trace_parent) {
+                 const RaaOptions& options, int trace_parent,
+                 EmbeddingTable* embeddings) {
   Stopwatch timer;
+  EmbeddingTable local_embeddings;
+  if (embeddings == nullptr) embeddings = &local_embeddings;
   RaaResult result;
   const Stage& stage = *context.stage;
   const Cluster& cluster = *context.cluster;
@@ -391,28 +394,22 @@ RaaResult RunRaa(const SchedulingContext& context,
     }
   }
 
-  // Embed, in one call, every instance the sweeps need: each owner group's
-  // representative, unless it is its compressed cluster's canonical one
-  // (then the template is its solve), and every template build's canonical
-  // representative.
-  std::vector<int> embed_slot(static_cast<size_t>(m), -1);
+  // Embed, in one call, every instance the sweeps need (the table skips
+  // those the placement embedded): each owner group's representative,
+  // unless it is its compressed cluster's canonical one (then the template
+  // is its solve), and every template build's canonical representative.
   std::vector<int> embed_ids;
-  auto want = [&](int instance) {
-    int& slot = embed_slot[static_cast<size_t>(instance)];
-    if (slot >= 0) return;
-    slot = static_cast<int>(embed_ids.size());
-    embed_ids.push_back(instance);
-  };
   for (int gi = 0; gi < ng; ++gi) {
     const GroupPrep& gp = prep[static_cast<size_t>(gi)];
     const int representative = groups[static_cast<size_t>(gi)].representative;
     if (gp.owner == gi && (cache == nullptr || representative != gp.canonical)) {
-      want(representative);
+      embed_ids.push_back(representative);
     }
   }
-  for (int owner : builds) want(prep[static_cast<size_t>(owner)].canonical);
-  std::vector<LatencyModel::EmbeddedInstance> embedded;
-  if (!EmbedInstances(context, embed_ids, &embedded)) {
+  for (int owner : builds) {
+    embed_ids.push_back(prep[static_cast<size_t>(owner)].canonical);
+  }
+  if (!embeddings->Embed(context, embed_ids)) {
     if (context.deadline.expired()) {
       result.solve_seconds = timer.ElapsedSeconds();
     }
@@ -428,8 +425,7 @@ RaaResult RunRaa(const SchedulingContext& context,
                        const std::vector<ResourceConfig>& thetas,
                        int theta0_index) {
     const size_t offset = queries.size();
-    const LatencyModel::EmbeddedInstance* e = &embedded[static_cast<size_t>(
-        embed_slot[static_cast<size_t>(instance)])];
+    const LatencyModel::EmbeddedInstance* e = &embeddings->at(instance);
     const Machine& machine = cluster.machine(
         groups[static_cast<size_t>(gi)].representative_machine);
     for (const ResourceConfig& theta : thetas) {

@@ -54,11 +54,13 @@ struct RaaResult {
 /// for RaaClustering::kFastMci (pass null to rebuild them from scratch).
 /// With context.obs wired, the WUN selection emits a "so.wun" span under
 /// `trace_parent` (the caller's "so.raa" span) and a so.wun_seconds
-/// histogram sample.
+/// histogram sample. Embeds the instances it sweeps into `embeddings`
+/// (null: a table local to the call), reusing any the placement embedded.
 RaaResult RunRaa(const SchedulingContext& context,
                  const StageDecision& placement,
                  const std::vector<FastMciGroup>* fast_mci_groups,
-                 const RaaOptions& options, int trace_parent = -1);
+                 const RaaOptions& options, int trace_parent = -1,
+                 EmbeddingTable* embeddings = nullptr);
 
 }  // namespace fgro
 

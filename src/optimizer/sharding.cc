@@ -186,12 +186,13 @@ int RefineMergedDecision(const SchedulingContext& context,
     if (id >= 0) used[static_cast<size_t>(id)]++;
   }
 
-  // Embed every instance together (EmbedInstances), then one batched sweep
-  // for every instance's latency under its current placement.
+  // Embed every instance of the whole-stage view (the shard solves embedded
+  // their own renumbered views), then one batched sweep for every
+  // instance's latency under its current placement.
   std::vector<int> all(static_cast<size_t>(m));
   std::iota(all.begin(), all.end(), 0);
-  std::vector<LatencyModel::EmbeddedInstance> embedded;
-  if (!EmbedInstances(context, all, &embedded)) return 0;
+  EmbeddingTable embeddings;
+  if (!embeddings.Embed(context, all)) return 0;
 
   LatencyModel::BatchScratch scratch;
   std::vector<double> current(static_cast<size_t>(m));
@@ -202,7 +203,7 @@ int RefineMergedDecision(const SchedulingContext& context,
       const Machine& machine = cluster.machine(
           decision->machine_of_instance[static_cast<size_t>(i)]);
       queries.push_back(LatencyModel::PredictionQuery{
-          &embedded[static_cast<size_t>(i)],
+          &embeddings.at(i),
           {decision->theta_of_instance[static_cast<size_t>(i)],
            machine.state(), machine.hardware().id}});
     }
@@ -245,7 +246,7 @@ int RefineMergedDecision(const SchedulingContext& context,
         continue;
       }
       queries.push_back(LatencyModel::PredictionQuery{
-          &embedded[static_cast<size_t>(worst)],
+          &embeddings.at(worst),
           {theta, machine.state(), machine.hardware().id}});
       targets.push_back(id);
     }
@@ -299,7 +300,7 @@ int RefineMergedDecision(const SchedulingContext& context,
         theta_queries.reserve(grid.size());
         for (const ResourceConfig& t : grid) {
           theta_queries.push_back(LatencyModel::PredictionQuery{
-              &embedded[static_cast<size_t>(worst)],
+              &embeddings.at(worst),
               {t, machine.state(), machine.hardware().id}});
         }
         std::vector<double> theta_predicted(theta_queries.size());

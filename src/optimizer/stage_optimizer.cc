@@ -211,6 +211,8 @@ StageDecision StageOptimizer::OptimizeImpl(const SchedulingContext& context,
   StageDecision decision;
   const std::vector<FastMciGroup>* groups = nullptr;
   ClusteredIpaResult clustered;
+  // One solve's embeddings: RAA reuses the instances IPA embedded.
+  EmbeddingTable embeddings;
 
   // Arm the propagated deadline from the RO time limit so IPA/RAA abort at
   // iteration granularity instead of discovering the overrun post-hoc.
@@ -248,10 +250,10 @@ StageDecision StageOptimizer::OptimizeImpl(const SchedulingContext& context,
         decision = FuxiSchedule(ctx);
         break;
       case Placement::kIpaOrg:
-        decision = IpaSchedule(ctx);
+        decision = IpaSchedule(ctx, &embeddings);
         break;
       case Placement::kIpaClustered:
-        clustered = IpaClusteredSchedule(ctx);
+        clustered = IpaClusteredSchedule(ctx, &embeddings);
         decision = std::move(clustered.decision);
         groups = &clustered.groups;
         break;
@@ -292,7 +294,8 @@ StageDecision StageOptimizer::OptimizeImpl(const SchedulingContext& context,
   RaaResult raa;
   {
     obs::ScopedSpan raa_span(ctx.obs.tracer, "so.raa", trace_parent);
-    raa = RunRaa(ctx, decision, groups, config_.raa, raa_span.id());
+    raa = RunRaa(ctx, decision, groups, config_.raa, raa_span.id(),
+                 &embeddings);
   }
   if (ctx.obs.metrics != nullptr) {
     ctx.obs.metrics->GetLatencyHistogram("so.raa_seconds")

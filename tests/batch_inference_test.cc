@@ -570,12 +570,14 @@ TEST(BplMatrixTest, BatchedParallelMatchesScalarSequential) {
   context.worker_pool = &pool;
   context.memo = &memo;
   std::vector<std::vector<double>> batched_matrix;
-  ASSERT_TRUE(
-      BuildBplMatrix(context, instance_rows, machine_cols, &batched_matrix));
-  // And once more through the memo (all hits).
+  EmbeddingTable embeddings;
+  ASSERT_TRUE(BuildBplMatrix(context, instance_rows, machine_cols,
+                             &embeddings, &batched_matrix));
+  // And once more through the memo (all hits), embedding afresh.
   std::vector<std::vector<double>> memoized_matrix;
-  ASSERT_TRUE(
-      BuildBplMatrix(context, instance_rows, machine_cols, &memoized_matrix));
+  EmbeddingTable fresh_embeddings;
+  ASSERT_TRUE(BuildBplMatrix(context, instance_rows, machine_cols,
+                             &fresh_embeddings, &memoized_matrix));
   EXPECT_GT(memo.hits(), 0u);
 
   ASSERT_EQ(scalar_matrix.size(), batched_matrix.size());
@@ -586,6 +588,120 @@ TEST(BplMatrixTest, BatchedParallelMatchesScalarSequential) {
                          "bpl scalar vs batched");
       ExpectBitIdentical(scalar_matrix[i][j], memoized_matrix[i][j],
                          "bpl scalar vs memoized");
+    }
+  }
+}
+
+TEST(LinearRangeTest, ResumedRangeMatchesForwardBatchBitwise) {
+  // A prefix over columns [0, split) that starts a range over [split, in)
+  // must equal the full-row ForwardBatch bit for bit: at 1 row, a padded
+  // panel, a full panel, and panels plus a remainder; at the empty, one-
+  // column, head-sized and all-but-one-column prefixes. Start rows are
+  // handed over in reverse order, so no row resumes from its own slot.
+  constexpr int kIn = 46;
+  Rng rng(23);
+  Linear layer(kIn, 47, &rng);  // odd: the kernel's remainder row runs
+  Rng data_rng(24);
+  for (int rows : {1, 15, 16, 17, 33}) {
+    Mat x;
+    x.Resize(rows, kIn);
+    for (double& v : x.data) v = data_rng.Normal();
+    Mat full;
+    layer.ForwardBatch(x, &full);
+    for (int split : {0, 1, 35, kIn - 1}) {
+      SCOPED_TRACE(::testing::Message() << rows << " rows, split " << split);
+      Mat head, tail;
+      head.Resize(rows, split);
+      tail.Resize(rows, kIn - split);
+      for (int r = 0; r < rows; ++r) {
+        std::copy(x.Row(r), x.Row(r) + split, head.Row(r));
+        std::copy(x.Row(rows - 1 - r) + split, x.Row(rows - 1 - r) + kIn,
+                  tail.Row(r));
+      }
+      Mat prefix;
+      layer.ForwardRange(head, 0, {}, &prefix);
+      std::vector<const double*> starts;
+      for (int r = 0; r < rows; ++r) starts.push_back(prefix.Row(rows - 1 - r));
+      Mat y;
+      layer.ForwardRange(tail, split, starts, &y);
+      ASSERT_EQ(y.rows, rows);
+      ASSERT_EQ(y.cols, full.cols);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < y.cols; ++c) {
+          ExpectBitIdentical(y.Row(r)[c], full.Row(rows - 1 - r)[c],
+                             "resumed range");
+        }
+      }
+    }
+  }
+}
+
+TEST(MlpBatchTest, ForwardBatchFromPrefixMatchesForwardBatch) {
+  Rng rng(31);
+  Mlp mlp({46, 48, 48, 1}, &rng);
+  Rng data_rng(32);
+  Mat x;
+  x.Resize(21, 46);
+  for (double& v : x.data) v = data_rng.Normal();
+  MlpScratch scratch;
+  const Vec full = mlp.ForwardBatch(x, &scratch).data;
+  Mat head, tail, prefix;
+  head.Resize(x.rows, 35);
+  tail.Resize(x.rows, 11);
+  for (int r = 0; r < x.rows; ++r) {
+    std::copy(x.Row(r), x.Row(r) + 35, head.Row(r));
+    std::copy(x.Row(r) + 35, x.Row(r) + 46, tail.Row(r));
+  }
+  mlp.FirstLayerPrefix(head, &prefix);
+  ASSERT_EQ(prefix.cols, mlp.first_layer_dim());
+  std::vector<const double*> starts;
+  for (int r = 0; r < x.rows; ++r) starts.push_back(prefix.Row(r));
+  const Mat& y = mlp.ForwardBatchFrom(tail, starts, &scratch);
+  ASSERT_EQ(y.data.size(), full.size());
+  for (size_t i = 0; i < full.size(); ++i) {
+    ExpectBitIdentical(y.data[i], full[i], "mlp resumed from prefix");
+  }
+}
+
+TEST(PredictBatchTest, InterleavedEmbeddingsInOnePanelMatchScalar) {
+  // Three embeddings alternate row by row, so every 16-row panel resumes
+  // lanes from different head prefixes. GTN and TLSTM resume from the
+  // prefix; the QPPNet kinds have none and keep their per-row fallback.
+  Result<Workload> workload = SmallWorkload();
+  ASSERT_TRUE(workload.ok());
+  const Stage& stage = workload->jobs[0].stages[0];
+  ASSERT_GE(stage.instance_count(), 3);
+  for (ModelKind kind : {ModelKind::kMciGtn, ModelKind::kMciTlstm,
+                         ModelKind::kMciQppnet, ModelKind::kQppnetOriginal}) {
+    SCOPED_TRACE(ModelKindName(kind));
+    LatencyModel::Options options;
+    options.kind = kind;
+    LatencyModel model(options);
+    Result<std::vector<LatencyModel::EmbeddedInstance>> embedded =
+        model.EmbedBatch(stage, {0, 1, 2});
+    ASSERT_TRUE(embedded.ok());
+    const bool resumes =
+        kind == ModelKind::kMciGtn || kind == ModelKind::kMciTlstm;
+    for (const LatencyModel::EmbeddedInstance& e : embedded.value()) {
+      EXPECT_EQ(e.head_prefix.empty(), !resumes);
+    }
+    Rng rng(61 + static_cast<uint64_t>(kind));
+    std::vector<LatencyModel::PredictionCandidate> candidates =
+        RandomCandidates(37, &rng);
+    std::vector<LatencyModel::PredictionQuery> queries;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      queries.push_back({&embedded.value()[i % 3], candidates[i]});
+    }
+    std::vector<double> batched(queries.size());
+    LatencyModel::BatchScratch scratch;
+    model.PredictBatch(queries, batched.data(), &scratch);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectBitIdentical(
+          batched[i],
+          model.PredictFromEmbedding(*queries[i].embedded,
+                                     candidates[i].theta, candidates[i].state,
+                                     candidates[i].hardware_type),
+          "interleaved embeddings");
     }
   }
 }

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <tuple>
 
 #include "clustering/dbscan.h"
 #include "clustering/kde1d.h"
 #include "clustering/machine_clustering.h"
 #include "common/rng.h"
+#include "featurize/discretize.h"
 #include "test_util.h"
 
 namespace fgro {
@@ -133,6 +137,70 @@ TEST(MachineClusteringTest, CoarserDegreeGivesFewerClusters) {
   for (int i = 0; i < cluster.size(); ++i) all.push_back(i);
   EXPECT_LE(ClusterMachines(cluster, all, 2).size(),
             ClusterMachines(cluster, all, 10).size());
+}
+
+// The tuple-keyed map ClusterMachines replaced: groups in ascending
+// (hw, dcpu, dmem, dio) order, members in input order, and the first member
+// with the strictly greatest cpu_util as representative.
+std::vector<MachineClusterGroup> MapClusterMachines(
+    const Cluster& cluster, const std::vector<int>& machine_ids, int dd) {
+  using Key = std::tuple<int, int, int, int>;
+  std::map<Key, MachineClusterGroup> groups;
+  for (int id : machine_ids) {
+    const Machine& m = cluster.machine(id);
+    Key key{m.hardware().id, DiscretizeIndex(m.state().cpu_util, dd),
+            DiscretizeIndex(m.state().mem_util, dd),
+            DiscretizeIndex(m.state().io_util, dd)};
+    MachineClusterGroup& g = groups[key];
+    g.machine_ids.push_back(id);
+    if (g.representative < 0 ||
+        m.state().cpu_util >
+            cluster.machine(g.representative).state().cpu_util) {
+      g.representative = id;
+    }
+  }
+  std::vector<MachineClusterGroup> out;
+  for (auto& [key, g] : groups) out.push_back(std::move(g));
+  return out;
+}
+
+TEST(MachineClusteringTest, MatchesTupleMapGrouping) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Cluster cluster(ClusterOptions{.num_machines = 96,
+                                   .base_util_sigma = 0.3,
+                                   .seed = seed});
+    Rng rng(seed * 31 + 5);
+    // Pin a third of the machines to tenth-grid states, so groups hold
+    // cpu_util ties and states sit exactly on bucket edges.
+    auto grid = [&] {
+      return static_cast<double>(rng.UniformInt(0, 10)) / 10.0;
+    };
+    for (int i = 0; i < cluster.size(); i += 3) {
+      const double cpu = grid();
+      const double mem = grid();
+      const double io = grid();
+      cluster.machine(i).set_state(SystemState{cpu, mem, io});
+    }
+    // A shuffled subset: members must keep this input order.
+    std::vector<int> ids;
+    for (int i = 0; i < cluster.size(); ++i) {
+      if (rng.Uniform() < 0.8) ids.push_back(i);
+    }
+    std::shuffle(ids.begin(), ids.end(), rng.engine());
+    for (int dd : {2, 4, 10}) {
+      const std::vector<MachineClusterGroup> got =
+          ClusterMachines(cluster, ids, dd);
+      const std::vector<MachineClusterGroup> want =
+          MapClusterMachines(cluster, ids, dd);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " dd " << dd;
+      for (size_t g = 0; g < got.size(); ++g) {
+        EXPECT_EQ(got[g].machine_ids, want[g].machine_ids)
+            << "seed " << seed << " dd " << dd << " group " << g;
+        EXPECT_EQ(got[g].representative, want[g].representative)
+            << "seed " << seed << " dd " << dd << " group " << g;
+      }
+    }
+  }
 }
 
 TEST(InstanceClusteringTest, PartitionsAndSortsByRows) {

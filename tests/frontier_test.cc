@@ -31,6 +31,7 @@
 #include "optimizer/fuxi.h"
 #include "optimizer/ipa_clustered.h"
 #include "optimizer/raa.h"
+#include "optimizer/sharding.h"
 #include "optimizer/stage_optimizer.h"
 #include "service/ro_service.h"
 #include "sim/experiment_env.h"
@@ -817,6 +818,55 @@ TEST_F(FrontierFixture, CompressedQualityWithinBoundOfPerInstanceOracle) {
   EXPECT_LE(avg_k4, 1.0 + kToleranceK4)
       << "sharded compressed plans degraded " << (avg_k4 - 1.0) * 100
       << "% vs the per-instance oracle across " << solves << " solves";
+}
+
+TEST_F(FrontierFixture, OneSolveEmbedsNoInstanceTwice) {
+  // One solve embeds through one table, so RAA reuses the representatives
+  // clustered IPA embedded. RAA(W/O_C) sweeps every instance, so an
+  // unsharded solve embeds exactly m. A sharded solve embeds each shard
+  // view's instances once (the views renumber instances and change the
+  // stage width the embedding sees) and the whole stage once more for
+  // refinement: 2m. Counted by model.embed_instances on a model copy.
+  const Stage& stage = WideStage(32);
+  const int m = stage.instance_count();
+  ASSERT_GE(m, 32);
+  obs::MetricsRegistry metrics;
+  LatencyModel model = env_->model();
+  model.set_obs(obs::Obs{.metrics = &metrics});
+  obs::Counter* embedded = metrics.GetCounter("model.embed_instances");
+  ThreadPool pool(2);
+  for (const StageOptimizer::Config& config :
+       {StageOptimizer::IpaRaaWithoutClustering(),
+        StageOptimizer::IpaRaaPath()}) {
+    const bool per_instance =
+        config.raa.clustering == RaaClustering::kNone;
+    for (int shards : {1, 2}) {
+      for (ThreadPool* worker_pool :
+           {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(::testing::Message()
+                     << StageOptimizer::ConfigName(config)
+                     << " shards=" << shards << " pool="
+                     << (worker_pool == nullptr ? 0 : worker_pool->size()));
+        SchedulingContext context = MakeContext(stage);
+        context.model = &model;
+        context.shard_count = shards;
+        context.worker_pool = worker_pool;
+        ASSERT_EQ(EffectiveShardCount(context), shards);
+        const uint64_t before = embedded->value();
+        const StageDecision decision = StageOptimizer(config).Optimize(context);
+        ASSERT_TRUE(decision.feasible);
+        ASSERT_EQ(decision.fallback, FallbackLevel::kPrimary);
+        const uint64_t count = embedded->value() - before;
+        const uint64_t bound = static_cast<uint64_t>(shards == 1 ? m : 2 * m);
+        if (per_instance) {
+          EXPECT_EQ(count, bound);
+        } else {
+          EXPECT_GT(count, 0u);
+          EXPECT_LE(count, bound);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(FrontierFixture, CompressionOffReplayByteIdenticalAcrossThreads) {

@@ -69,6 +69,22 @@ TEST(StandardizerTest, NormalizesToZeroMeanUnitVar) {
   EXPECT_GT(y[0], 1.0);
 }
 
+TEST(StandardizerTest, ApplyRangeMatchesApplyOnASlice) {
+  Standardizer s;
+  Vec a = {1.0, 10.0, -4.0, 0.5};
+  Vec b = {3.0, 14.0, 2.0, 1.5};
+  s.Fit({&a, &b});
+  // In band, and far beyond +-10 on both sides.
+  Vec row = {2.0, 1e9, -1e9, 1.0};
+  Vec whole = row;
+  s.Apply(&whole);
+  EXPECT_EQ(whole[1], 10.0);
+  EXPECT_EQ(whole[2], -10.0);
+  Vec tail(row.begin() + 1, row.end());
+  s.ApplyRange(tail.data(), 1, tail.size());
+  for (size_t i = 0; i < tail.size(); ++i) EXPECT_EQ(tail[i], whole[i + 1]);
+}
+
 TEST(StandardizerTest, ConstantDimensionIsSafe) {
   Standardizer s;
   Vec a = {7, 1}, b = {7, 2};
@@ -138,8 +154,43 @@ TEST_F(TrainedModelFixture, EmbeddingFastPathMatchesFullPredict) {
     ASSERT_TRUE(full.ok() && embedded.ok());
     double fast = env_->model().PredictFromEmbedding(
         embedded.value(), r.theta, r.machine_state, r.hardware_type);
-    EXPECT_NEAR(fast, full.value(), std::abs(full.value()) * 1e-9);
+    // Bitwise: both paths standardize (and clamp) the context identically.
+    EXPECT_EQ(fast, full.value());
   }
+}
+
+TEST_F(TrainedModelFixture, OutOfBandContextScoresLikePredict) {
+  // Plans far outside the training window standardize beyond the +-10
+  // band. Every scoring path clamps the context tail as Predict's
+  // Standardizer::Apply does, so all three agree bit for bit.
+  const TraceDataset& dataset = env_->dataset();
+  const LatencyModel& model = env_->model();
+  const InstanceRecord& r = dataset.records[3];
+  const Stage& stage = dataset.StageOf(r);
+  Result<LatencyModel::EmbeddedInstance> embedded =
+      model.Embed(stage, r.instance_idx);
+  ASSERT_TRUE(embedded.ok());
+  std::vector<LatencyModel::PredictionCandidate> candidates;
+  for (double scale : {1e6, 2e6}) {
+    candidates.push_back({{scale, 10 * scale}, r.machine_state,
+                          r.hardware_type});
+  }
+  std::vector<double> batched(candidates.size());
+  LatencyModel::BatchScratch scratch;
+  model.PredictBatch(embedded.value(), candidates, batched.data(), &scratch);
+  for (size_t k = 0; k < candidates.size(); ++k) {
+    const LatencyModel::PredictionCandidate& c = candidates[k];
+    Result<double> full = model.Predict(stage, r.instance_idx, c.theta,
+                                        c.state, c.hardware_type);
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(model.PredictFromEmbedding(embedded.value(), c.theta, c.state,
+                                         c.hardware_type),
+              full.value());
+    EXPECT_EQ(batched[k], full.value());
+  }
+  // Both plans clamp to the band's edge, so the model cannot tell them
+  // apart: the clamp really ran.
+  EXPECT_EQ(batched[0], batched[1]);
 }
 
 TEST_F(TrainedModelFixture, MoreCoresNeverHugelyWorsePrediction) {
